@@ -1,12 +1,14 @@
-(* Wire protocol v2 vs v1: what batching buys back from the IPC floor.
-   The paper's numbers were IPC-dominated (0.5-1 ms same-machine, 2.5-3 ms
-   remote); protocol v2 amortizes that per-round-trip cost with batched
-   appends (group commit) and chunked cursor reads. We run the same
-   1000-entry append+fold workload through both protocol versions at the
-   paper's two IPC latencies and count what crossed the wire. *)
+(* What batching buys back from the IPC floor. The paper's numbers were
+   IPC-dominated (0.5-1 ms same-machine, 2.5-3 ms remote); the protocol
+   amortizes that per-round-trip cost with batched appends (group commit)
+   and chunked cursor reads. We run the same 1000-entry append+fold
+   workload at batch=1/chunk=1 (one entry per round trip, the V-era
+   pattern) and at batch=100/chunk=128, at the paper's two IPC latencies,
+   and count what crossed the wire. *)
 
 type run = {
-  proto : string;
+  batch : int;
+  chunk : int;
   ipc_us : int64;
   append_trips : int;
   fold_trips : int;
@@ -17,21 +19,23 @@ type run = {
 
 let batch_size = 100
 
-let run_workload ~n ~ipc_us ~max_version =
+let label r = Printf.sprintf "batch=%d/chunk=%d" r.batch r.chunk
+
+let run_workload ~n ~ipc_us ~batched =
   let f = Util.make_fixture ~fanout:16 ~block_size:1024 ~capacity:65536 () in
   let rpc = Uio.Rpc_server.create f.Util.srv in
   let transport =
     Uio.Transport.local ~latency_us:ipc_us ~clock:f.Util.clock (Uio.Rpc_server.handle rpc)
   in
-  let client = Uio.Client.connect ~max_version transport in
+  let client = Uio.Client.connect transport in
   let log = Util.ok (Uio.Client.create_log client "/bench") in
   let payload i = Printf.sprintf "entry %06d: fifty bytes of log data, padded out...." i in
   let sim0 = Sim.Clock.peek f.Util.clock in
   let before = Uio.Transport.counters transport in
-  (* Synchronous (forced) appends: v1 pays one round trip and one force per
-     entry; v2 groups [batch_size] entries per request with one force each
-     (group commit). *)
-  (if max_version >= 2 then
+  (* Synchronous (forced) appends: unbatched pays one round trip and one
+     force per entry; batched groups [batch_size] entries per request with
+     one force each (group commit). *)
+  (if batched then
      for b = 0 to (n / batch_size) - 1 do
        let items =
          List.init batch_size (fun i ->
@@ -44,7 +48,10 @@ let run_workload ~n ~ipc_us ~max_version =
        ignore (Util.ok (Uio.Client.append ~force:true client ~log (payload i)))
      done);
   let mid = Uio.Transport.counters transport in
-  let count = Util.ok (Uio.Client.fold_entries client ~log ~init:0 (fun k _ -> k + 1)) in
+  let chunk = if batched then Uio.Client.default_chunk_entries else 1 in
+  let count =
+    Util.ok (Uio.Client.fold_entries ~chunk_entries:chunk client ~log ~init:0 (fun k _ -> k + 1))
+  in
   assert (count = n);
   let after = Uio.Transport.counters transport in
   let d_append = Uio.Transport.diff ~after:mid ~before in
@@ -52,7 +59,8 @@ let run_workload ~n ~ipc_us ~max_version =
   let d_all = Uio.Transport.diff ~after ~before in
   ( f.Util.srv,
     {
-      proto = Printf.sprintf "v%d" (Uio.Client.version client);
+      batch = (if batched then batch_size else 1);
+      chunk;
       ipc_us;
       append_trips = d_append.Uio.Transport.round_trips;
       fold_trips = d_fold.Uio.Transport.round_trips;
@@ -62,24 +70,24 @@ let run_workload ~n ~ipc_us ~max_version =
     } )
 
 let run () =
-  Util.section "WIRE PROTOCOL v2 - round trips and modeled IPC time, 1000-entry append+fold";
+  Util.section "BATCHING - round trips and modeled IPC time, 1000-entry append+fold";
   let n = if Util.quick () then 200 else 1000 in
   let runs =
     List.concat_map
       (fun ipc_us ->
-        let _, v1 = run_workload ~n ~ipc_us ~max_version:1 in
-        let srv, v2 = run_workload ~n ~ipc_us ~max_version:2 in
-        [ (srv, v1); (srv, v2) ])
+        let _, single = run_workload ~n ~ipc_us ~batched:false in
+        let srv, batched = run_workload ~n ~ipc_us ~batched:true in
+        [ (srv, single); (srv, batched) ])
       [ 1000L; 3000L ]
   in
   let columns =
-    [ "protocol"; "IPC"; "append trips"; "fold trips"; "bytes sent"; "bytes recv"; "modeled time" ]
+    [ "batch/chunk"; "IPC"; "append trips"; "fold trips"; "bytes sent"; "bytes recv"; "modeled time" ]
   in
   Util.table ~columns
     (List.map
        (fun (_, r) ->
          [
-           r.proto;
+           label r;
            Printf.sprintf "%Ld us" r.ipc_us;
            string_of_int r.append_trips;
            string_of_int r.fold_trips;
@@ -89,12 +97,12 @@ let run () =
          ])
        runs);
   (match runs with
-  | (_, v1) :: (_, v2) :: _ ->
+  | (_, single) :: (_, batched) :: _ ->
     let trips r = r.append_trips + r.fold_trips in
     Printf.printf
-      "  v2 makes %.0fx fewer round trips (%d vs %d) for %d entries appended and read back\n"
-      (float_of_int (trips v1) /. float_of_int (trips v2))
-      (trips v1) (trips v2) n;
+      "  batching makes %.0fx fewer round trips (%d vs %d) for %d entries appended and read back\n"
+      (float_of_int (trips single) /. float_of_int (trips batched))
+      (trips single) (trips batched) n;
     Printf.printf
       "  (batch=%d with one force per batch; reads stream %d entries per chunk)\n" batch_size
       Uio.Client.default_chunk_entries
@@ -106,7 +114,9 @@ let run () =
          (fun (_, r) ->
            Obs.Json.Obj
              [
-               ("protocol", Obs.Json.Str r.proto);
+               ("mode", Obs.Json.Str (label r));
+               ("batch_entries", Obs.Json.Int r.batch);
+               ("chunk_entries", Obs.Json.Int r.chunk);
                ("ipc_us", Obs.Json.Float (Int64.to_float r.ipc_us));
                ("entries", Obs.Json.Float (float_of_int n));
                ("append_round_trips", Obs.Json.Float (float_of_int r.append_trips));

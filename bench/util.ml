@@ -44,10 +44,14 @@ type fixture = {
   alloc : vol_index:int -> (Worm.Block_io.t, Clio.Errors.t) result;
 }
 
+(* [locate_memo] (default on) lets a reproduction of the paper's tables run
+   the paper's locate algorithm rather than our memo layered on top of it. *)
 let make_fixture ?(fanout = 16) ?(block_size = 256) ?(capacity = 4096) ?cache_blocks
-    ?(nvram_tail = true) () =
+    ?(nvram_tail = true) ?(locate_memo = true) () =
   let cache_blocks = match cache_blocks with Some c -> c | None -> capacity in
-  let config = { Clio.Config.default with fanout; block_size; cache_blocks; nvram_tail } in
+  let config =
+    { Clio.Config.default with fanout; block_size; cache_blocks; nvram_tail; locate_memo }
+  in
   let clock = Sim.Clock.simulated () in
   let devices = ref [] in
   let alloc ~vol_index:_ =
@@ -84,11 +88,11 @@ type planted = {
       (** (requested distance, actual distance, log id) *)
 }
 
-let build_planted ~fanout ~block_size ~distances () =
+let build_planted ?locate_memo ~fanout ~block_size ~distances () =
   let span = List.fold_left max 0 distances + 32 in
   (* Entrymap and catalog records consume a fraction of the blocks. *)
   let capacity = span + (span / (fanout - 1)) + 128 in
-  let f = make_fixture ~fanout ~block_size ~capacity () in
+  let f = make_fixture ?locate_memo ~fanout ~block_size ~capacity () in
   let noise = ok (Clio.Server.ensure_log f.srv "/noise") in
   let targets =
     List.mapi (fun i d -> (d, ok (Clio.Server.ensure_log f.srv (Printf.sprintf "/t%d" i)))) distances

@@ -1,7 +1,7 @@
 (* Accessing the log service over the UIO RPC protocol — how every client
    reached Clio in the V-System. The transport charges the paper's IPC cost
    on a simulated clock, so the printed totals show what the 1987 numbers
-   were made of — and what wire protocol v2's batching buys back.
+   were made of — and what batching buys back.
 
      dune exec examples/remote_client.exe *)
 
@@ -16,10 +16,9 @@ let () =
   let rpc = Uio.Rpc_server.create srv in
 
   (* Client side: only a transport handle — the paper's same-machine IPC
-     costs 750 us per round trip. [connect] negotiates wire protocol v2. *)
+     costs 750 us per round trip. [connect] makes no round trip. *)
   let transport = Uio.Transport.local ~latency_us:750L ~clock (Uio.Rpc_server.handle rpc) in
   let client = Uio.Client.connect transport in
-  Printf.printf "negotiated wire protocol v%d\n" (Uio.Client.version client);
 
   let log = okr (Uio.Client.ensure_log client "/sensors/temp") in
   Printf.printf "created /sensors/temp over the wire (log #%d)\n\n" log;
@@ -37,7 +36,7 @@ let () =
     (elapsed_ms /. 20.0);
   Printf.printf "IPC-dominated, matching the paper's 2.0-2.9 ms synchronous writes)\n\n";
 
-  (* The v2 way: the same 20 entries in one request, one force at batch
+  (* The batched way: the same 20 entries in one request, one force at batch
      end (group commit). *)
   let t0 = Sim.Clock.peek clock in
   let items =

@@ -16,8 +16,8 @@ type t =
       (** an RPC cursor or continuation token no longer names live server
           state (closed, LRU-evicted, or superseded by a newer token) *)
   | Remote of string
-      (** an error that crossed the wire without a typed encoding — the
-          v1 string form, or a code this build does not know *)
+      (** an error without a typed encoding — an exception in the RPC
+          dispatcher, or a wire error code this build does not know *)
   | Degraded
       (** the server's error-budget breaker is open: writes are refused
           until an operator resets it (reads keep working) *)

@@ -188,13 +188,13 @@ type batch_item = {
   payload : string;
 }
 
-(* Group commit (wire protocol v2): validate every item up front so a bad
-   target rejects the whole batch with nothing staged, then stage all
-   entries back to back and force once at the end. Timestamps are assigned
-   in arrival order, so interleaved appends to different log files keep
-   their relative order. A device failure mid-batch aborts the remaining
-   items; already-staged entries survive, exactly as separate appends
-   interrupted at the same point would. *)
+(* Group commit: validate every item up front so a bad target rejects the
+   whole batch with nothing staged, then stage all entries back to back
+   and force once at the end. Timestamps are assigned in arrival order, so
+   interleaved appends to different log files keep their relative order. A
+   device failure mid-batch aborts the remaining items; already-staged
+   entries survive, exactly as separate appends interrupted at the same
+   point would. *)
 let append_batch_inner ?(force = false) st items =
   let* () =
     List.fold_left

@@ -202,6 +202,10 @@ and flush_tail ?(forced = false) st (v : Vol.t) : (unit, Errors.t) result =
 
 and roll_volume st : (unit, Errors.t) result =
   let* old = State.active st in
+  (* Sealing is a durability point: the full volume's blocks reach stable
+     storage before the sequence moves on, so a later force on the
+     successor leaves nothing unsynced behind it. *)
+  let* () = Errors.of_dev (old.io.Worm.Block_io.flush ()) in
   old.sealed <- true;
   old.tail_open <- false;
   Block_format.Builder.reset old.tail;
@@ -343,22 +347,30 @@ let append_batch st items =
 let force_inner st : (unit, Errors.t) result =
   let* v = State.active st in
   st.State.stats.Stats.forces <- st.State.stats.Stats.forces + 1;
-  if (not v.tail_open) || Block_format.Builder.is_empty v.tail then Ok ()
-  else
-    match (st.State.config.Config.nvram_tail, st.State.nvram) with
-    | true, Some nv ->
-      (* Stage the partial tail in battery-backed RAM; it keeps filling and
-         reaches the WORM medium only when full (section 2.3.1). The staged
-         image must carry the forced flag like a burned force would: if it
-         is replayed verbatim after a crash, recovery has to see that this
-         block boundary was a durability point. *)
-      let image = Block_format.Builder.finish ~forced:true v.tail in
-      Worm.Nvram.store nv ~block:v.tail_index image;
-      st.State.stats.Stats.nvram_syncs <- st.State.stats.Stats.nvram_syncs + 1;
-      Ok ()
-    | _ ->
-      (* Pure write-once: burn the partial block, wasting its free space. *)
-      flush_tail ~forced:true st v
+  let* () =
+    if (not v.tail_open) || Block_format.Builder.is_empty v.tail then Ok ()
+    else
+      match (st.State.config.Config.nvram_tail, st.State.nvram) with
+      | true, Some nv ->
+        (* Stage the partial tail in battery-backed RAM; it keeps filling and
+           reaches the WORM medium only when full (section 2.3.1). The staged
+           image must carry the forced flag like a burned force would: if it
+           is replayed verbatim after a crash, recovery has to see that this
+           block boundary was a durability point. *)
+        let image = Block_format.Builder.finish ~forced:true v.tail in
+        Worm.Nvram.store nv ~block:v.tail_index image;
+        st.State.stats.Stats.nvram_syncs <- st.State.stats.Stats.nvram_syncs + 1;
+        Ok ()
+      | _ ->
+        (* Pure write-once: burn the partial block, wasting its free space. *)
+        flush_tail ~forced:true st v
+  in
+  (* The durability point: every block burned so far — the forced tail and
+     the full blocks before it — must reach stable storage (an fsync on a
+     file-backed volume) before the force is acknowledged. A force that
+     rolled the sequence burned its tail on the successor volume. *)
+  let* v = State.active st in
+  Errors.of_dev (v.io.Worm.Block_io.flush ())
 
 let force st : (unit, Errors.t) result =
   Obs.time st.State.obs st.State.probes.State.h_force "force" (fun () -> force_inner st)

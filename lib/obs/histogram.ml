@@ -80,14 +80,15 @@ let percentile t q =
         else begin
           let seen' = seen + n in
           if float_of_int seen' >= rank then begin
-            (* Interpolate within the bucket, clamped to observed extremes. *)
+            (* Interpolate within the bucket, clamped to the observed
+               extremes so every quantile lies in [min, max]. *)
             let lo = float_of_int (max (bucket_lo i) (min_value t)) in
-            let hi = float_of_int (min (bucket_hi i) (t.max_v + 1)) in
+            let hi = float_of_int (min (bucket_hi i) t.max_v) in
             let frac =
               if n = 0 then 0.0 else (rank -. float_of_int seen) /. float_of_int n
             in
             let frac = Float.max 0.0 (Float.min 1.0 frac) in
-            lo +. (frac *. (hi -. lo))
+            Float.min hi (lo +. (frac *. (hi -. lo)))
           end
           else find (i + 1) seen'
         end

@@ -24,7 +24,9 @@ val mean : t -> float
 
 val percentile : t -> float -> float
 (** [percentile t 0.99]: estimated sample value at quantile [q] in [0,1],
-    linearly interpolated within the containing bucket. nan when empty. *)
+    linearly interpolated within the containing bucket. The estimate is
+    monotone in [q] and lies within [\[min_value t, max_value t\]]. nan
+    when empty. *)
 
 val reset : t -> unit
 

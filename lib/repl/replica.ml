@@ -216,7 +216,7 @@ let check_epoch t e =
   end
 
 let encode r = Uio.Message.encode_response r
-let encode_err e = Uio.Message.encode_response (Uio.Message.R_error_t e)
+let encode_err e = Uio.Message.encode_response (Uio.Message.R_error e)
 
 let handle_repl t (req : Uio.Message.request) =
   match req with

@@ -62,8 +62,7 @@ let call t peer req =
     | exception Uio.Transport.Disconnected -> Error Clio.Errors.Disconnected
     | raw -> (
       match Uio.Message.decode_response raw with
-      | Ok (Uio.Message.R_error msg) -> Error (Clio.Errors.Remote msg)
-      | Ok (Uio.Message.R_error_t e) -> Error e
+      | Ok (Uio.Message.R_error e) -> Error e
       | Ok r -> Ok r
       | Error e -> Error e)
   in

@@ -19,7 +19,6 @@ type stats = {
 
 type t = {
   transport : Transport.t;
-  mutable version : int;
   retry : retry_policy;
   rng : Sim.Rng.t;  (** backoff jitter + idempotency-key seed *)
   mutable next_key : int64;
@@ -45,16 +44,6 @@ let fresh_key t =
   t.next_key <- Int64.add k 1L;
   k
 
-(* Requests that are safe to resend even WITHOUT an idempotency key: pure
-   reads whose answer may change but whose resend applies nothing. Every
-   other request is only retried when the session speaks v3 and the request
-   travels inside a [Keyed] envelope. *)
-let idempotent_unkeyed = function
-  | Message.Hello _ | Message.Resolve _ | Message.Path_of _ | Message.List_logs _
-  | Message.List_dir _ | Message.Entry_at_or_after _ | Message.Entry_before _ ->
-    true
-  | _ -> false
-
 let call_once t wire =
   match Transport.call t.transport wire with
   | exception Transport.Timeout ->
@@ -67,8 +56,7 @@ let call_once t wire =
     Error Clio.Errors.Disconnected
   | raw -> (
     match Message.decode_response raw with
-    | Ok (Message.R_error msg) -> Error (Clio.Errors.Remote msg)
-    | Ok (Message.R_error_t e) ->
+    | Ok (Message.R_error e) ->
       (match e with
       | Clio.Errors.Not_primary hint when hint <> "" -> t.redirect_hint <- Some hint
       | _ -> ());
@@ -81,81 +69,57 @@ let backoff_us p ~attempt =
   if Int64.compare b p.max_backoff_us > 0 || Int64.compare b 0L <= 0 then p.max_backoff_us
   else b
 
-(* The retry loop. A keyed request is always safe to resend (the server's
-   dedup window replays the original answer byte-for-byte); an unkeyed one
-   only if [idempotent_unkeyed]. Backoff is exponential with half-window
-   jitter and advances the transport's clock, so waiting costs simulated
-   time; the deadline is a per-call budget on that same clock. When the
-   budget or the attempt count runs out, the last transport error surfaces
-   ([Timeout] / [Disconnected]) — for an unkeyed mutating request that
-   error is genuinely ambiguous, and surfacing it is the honest answer. *)
+(* The retry loop. Every request travels inside a [Keyed] envelope, so a
+   resend is always safe: the server's dedup window replays the original
+   answer byte-for-byte. Backoff is exponential with half-window jitter and
+   advances the transport's clock, so waiting costs simulated time; the
+   deadline is a per-call budget on that same clock. When the budget or the
+   attempt count runs out, the last transport error surfaces ([Timeout] /
+   [Disconnected]). *)
 let call t req =
-  let keyed =
-    t.version >= 3 && (match req with Message.Hello _ -> false | _ -> true)
+  let wire = Message.encode_request (Message.Keyed { key = fresh_key t; req }) in
+  let p = t.retry in
+  let clock = Transport.clock t.transport in
+  let start = Sim.Clock.peek clock in
+  let rec go attempt =
+    match call_once t wire with
+    | Error (Clio.Errors.Timeout | Clio.Errors.Disconnected) as r
+      when attempt + 1 < p.max_attempts ->
+      let elapsed = Int64.sub (Sim.Clock.peek clock) start in
+      if Int64.compare elapsed p.deadline_us >= 0 then begin
+        t.stats.deadline_exceeded <- t.stats.deadline_exceeded + 1;
+        bump t.m_deadline;
+        r
+      end
+      else begin
+        t.stats.retries <- t.stats.retries + 1;
+        bump t.m_retries;
+        let b = backoff_us p ~attempt in
+        let half = Int64.div b 2L in
+        let jitter = Int64.of_int (Sim.Rng.int t.rng (Int64.to_int half + 1)) in
+        Sim.Clock.advance clock (Int64.add half jitter);
+        go (attempt + 1)
+      end
+    | r -> r
   in
-  let wire_req = if keyed then Message.Keyed { key = fresh_key t; req } else req in
-  let retryable = keyed || idempotent_unkeyed req in
-  let wire = Message.encode_request wire_req in
-  if not retryable then call_once t wire
-  else begin
-    let p = t.retry in
-    let clock = Transport.clock t.transport in
-    let start = Sim.Clock.peek clock in
-    let rec go attempt =
-      match call_once t wire with
-      | Error (Clio.Errors.Timeout | Clio.Errors.Disconnected) as r
-        when attempt + 1 < p.max_attempts ->
-        let elapsed = Int64.sub (Sim.Clock.peek clock) start in
-        if Int64.compare elapsed p.deadline_us >= 0 then begin
-          t.stats.deadline_exceeded <- t.stats.deadline_exceeded + 1;
-          bump t.m_deadline;
-          r
-        end
-        else begin
-          t.stats.retries <- t.stats.retries + 1;
-          bump t.m_retries;
-          let b = backoff_us p ~attempt in
-          let half = Int64.div b 2L in
-          let jitter = Int64.of_int (Sim.Rng.int t.rng (Int64.to_int half + 1)) in
-          Sim.Clock.advance clock (Int64.add half jitter);
-          go (attempt + 1)
-        end
-      | r -> r
-    in
-    go 0
-  end
+  go 0
 
-(* Version negotiation happens once, at connect: a v3-capable server
-   answers [R_version]; anything else (an old server rejecting the unknown
-   tag, a transport mangling the reply) demotes the session to v1, where
-   every operation is a single v1-tagged round trip. The Hello itself rides
-   the retry loop (it is an idempotent read), so connecting over a lossy
-   transport works. *)
-let connect ?(max_version = Message.protocol_version) ?(retry = default_retry)
-    ?(rng = Sim.Rng.create 0xC11E2717L) ?metrics transport =
+(* No round trip: the first request is the first message on the wire. *)
+let connect ?(retry = default_retry) ?(rng = Sim.Rng.create 0xC11E2717L) ?metrics transport =
   let mc name = Option.map (fun m -> Obs.Metrics.counter m name) metrics in
-  let t =
-    {
-      transport;
-      version = 1;
-      retry;
-      rng;
-      next_key = Sim.Rng.next rng;
-      redirect_hint = None;
-      stats = { retries = 0; timeouts = 0; disconnects = 0; deadline_exceeded = 0 };
-      m_retries = mc "client_retries";
-      m_timeouts = mc "client_timeouts";
-      m_disconnects = mc "client_disconnects";
-      m_deadline = mc "client_deadline_exceeded";
-    }
-  in
-  (if max_version >= 2 then
-     match call t (Message.Hello { version = max_version }) with
-     | Ok (Message.R_version v) -> t.version <- max 1 (min v max_version)
-     | Ok _ | Error _ -> t.version <- 1);
-  t
+  {
+    transport;
+    retry;
+    rng;
+    next_key = Sim.Rng.next rng;
+    redirect_hint = None;
+    stats = { retries = 0; timeouts = 0; disconnects = 0; deadline_exceeded = 0 };
+    m_retries = mc "client_retries";
+    m_timeouts = mc "client_timeouts";
+    m_disconnects = mc "client_disconnects";
+    m_deadline = mc "client_deadline_exceeded";
+  }
 
-let version t = t.version
 let stats t = t.stats
 let redirect_hint t = t.redirect_hint
 
@@ -180,56 +144,28 @@ let path_of t id =
   match r with Message.R_path p -> Ok p | _ -> protocol_error
 
 let list_logs t path =
-  if t.version >= 2 then
-    let* r = call t (Message.List_dir path) in
-    match r with Message.R_dir ds -> Ok ds | _ -> protocol_error
-  else
-    (* v1 listing carries (id, name, perms) only: synthesize the path from
-       the parent, and report 0 sublogs (the legacy shape lacks counts). *)
-    let* r = call t (Message.List_logs path) in
-    match r with
-    | Message.R_names names ->
-      let base = if path = "/" then "" else path in
-      Ok
-        (List.map
-           (fun (id, name, perms) ->
-             { Message.id; path = base ^ "/" ^ name; perms; entry_count = 0 })
-           names)
-    | _ -> protocol_error
+  let* r = call t (Message.List_dir path) in
+  match r with Message.R_dir ds -> Ok ds | _ -> protocol_error
 
 let set_perms t ~log perms = expect_unit t (Message.Set_perms { log; perms })
-
-let append ?(extra_members = []) ?(force = false) t ~log data =
-  let* r = call t (Message.Append { log; extra_members; force; data }) in
-  match r with Message.R_timestamp ts -> Ok ts | _ -> protocol_error
 
 let force t = expect_unit t Message.Force
 
 let append_batch ?(force = false) t items =
   if items = [] then Ok []
-  else if t.version >= 2 then
+  else
     let* r = call t (Message.Append_batch { force; items }) in
     match r with Message.R_timestamps ts -> Ok ts | _ -> protocol_error
-  else begin
-    (* v1 fallback: one round trip per entry, then a single force — the
-       group-commit durability contract holds either way. *)
-    let rec go acc = function
-      | [] ->
-        let* () = if force then expect_unit t Message.Force else Ok () in
-        Ok (List.rev acc)
-      | { Message.log; extra_members; data } :: rest ->
-        let* ts = append ~extra_members t ~log data in
-        go (ts :: acc) rest
-    in
-    go [] items
-  end
+
+(* A single append is a batch of one. *)
+let append ?(extra_members = []) ?(force = false) t ~log data =
+  let* ts = append_batch ~force t [ { Message.log; extra_members; data } ] in
+  match ts with [ ts ] -> Ok ts | _ -> protocol_error
 
 let open_cursor t ~log whence =
   let* id = expect_id t (Message.Open_cursor { log; whence }) in
   Ok { client = t; id; seq = 0 }
 
-let next c = expect_entry c.client (Message.Next c.id)
-let prev c = expect_entry c.client (Message.Prev c.id)
 let close_cursor c = expect_unit c.client (Message.Close_cursor c.id)
 
 let default_chunk_entries = 128
@@ -246,22 +182,16 @@ let chunk_call c req =
     Ok (entries, eof)
   | _ -> protocol_error
 
-(* On a v1 session a chunk degrades to a single step: one entry per round
-   trip, [eof] only when the cursor runs off the end — so chunked loops
-   work (slowly) against v1 servers without a second code path. *)
 let next_chunk ?(max_entries = default_chunk_entries) ?(max_bytes = default_chunk_bytes) c =
-  if c.client.version >= 2 then
-    chunk_call c (Message.Next_chunk (chunk_of c ~max_entries ~max_bytes))
-  else
-    let* e = next c in
-    match e with None -> Ok ([], true) | Some e -> Ok ([ e ], false)
+  chunk_call c (Message.Next_chunk (chunk_of c ~max_entries ~max_bytes))
 
 let prev_chunk ?(max_entries = default_chunk_entries) ?(max_bytes = default_chunk_bytes) c =
-  if c.client.version >= 2 then
-    chunk_call c (Message.Prev_chunk (chunk_of c ~max_entries ~max_bytes))
-  else
-    let* e = prev c in
-    match e with None -> Ok ([], true) | Some e -> Ok ([ e ], false)
+  chunk_call c (Message.Prev_chunk (chunk_of c ~max_entries ~max_bytes))
+
+(* A single step is a chunk of one. *)
+let first_of (entries, _eof) = match entries with e :: _ -> Some e | [] -> None
+let next c = Result.map first_of (next_chunk ~max_entries:1 c)
+let prev c = Result.map first_of (prev_chunk ~max_entries:1 c)
 
 let with_cursor t ~log whence f =
   let* c = open_cursor t ~log whence in

@@ -3,23 +3,19 @@
     see server internals; everything crosses the wire, with the transport
     charging the modeled IPC cost of section 3.2.
 
-    {!connect} negotiates the wire protocol (one [Hello] round trip) and
-    then amortizes IPC with {!append_batch} (many entries, one request,
-    group commit) and chunked cursor reads ({!next_chunk}/{!prev_chunk},
-    which {!fold_entries} uses as read-ahead). Against a v1-only server —
-    or with [~max_version:1] — every operation transparently falls back to
-    one v1 round trip. All results carry typed {!Clio.Errors.t}; errors a
-    v1 server sends as strings surface as [Errors.Remote].
+    IPC is amortized with {!append_batch} (many entries, one request, group
+    commit) and chunked cursor reads ({!next_chunk}/{!prev_chunk}, which
+    {!fold_entries} uses as read-ahead). The single-operation calls are the
+    same messages at size one: {!append} is a batch of one entry, and
+    {!next}/{!prev} are chunks of one. All results carry typed
+    {!Clio.Errors.t}.
 
-    {b Fault tolerance (v3).} On a lossy transport, calls ride a retry loop
-    with exponential backoff, jitter and a per-call deadline budget. On a
-    v3 session every request except [Hello] travels inside a
-    [Message.Keyed] idempotency envelope, so resending after a lost
-    acknowledgement cannot apply an operation twice — the server's dedup
-    window replays the original response, original timestamps included.
-    Unkeyed requests are only retried when they are pure reads; a mutating
-    request on a v1/v2 session that times out surfaces [Errors.Timeout]
-    (applied-or-not genuinely unknown). *)
+    {b Fault tolerance.} On a lossy transport, calls ride a retry loop with
+    exponential backoff, jitter and a per-call deadline budget. Every
+    request travels inside a [Message.Keyed] idempotency envelope, so
+    resending after a lost acknowledgement cannot apply an operation twice
+    — the server's dedup window replays the original response, original
+    timestamps included. *)
 
 type t
 
@@ -50,22 +46,11 @@ type stats = {
   mutable deadline_exceeded : int;  (** calls abandoned on the deadline *)
 }
 
-val connect :
-  ?max_version:int ->
-  ?retry:retry_policy ->
-  ?rng:Sim.Rng.t ->
-  ?metrics:Obs.Metrics.t ->
-  Transport.t ->
-  t
-(** Connect and negotiate. [max_version] (default {!Message.protocol_version})
-    caps what the client offers; [~max_version:1] skips negotiation and
-    forces the v1 one-round-trip-per-operation protocol. [retry] (default
-    {!default_retry}) governs resends; [rng] drives backoff jitter and
-    seeds the idempotency keys; with [metrics], the {!stats} events also
-    bump [client_*] counters in that registry. *)
-
-val version : t -> int
-(** The negotiated protocol version (1, 2 or 3). *)
+val connect : ?retry:retry_policy -> ?rng:Sim.Rng.t -> ?metrics:Obs.Metrics.t -> Transport.t -> t
+(** Bind a client to a transport; no round trip is made. [retry] (default
+    {!default_retry}) governs resends; [rng] drives backoff jitter and seeds
+    the idempotency keys; with [metrics], the {!stats} events also bump
+    [client_*] counters in that registry. *)
 
 val stats : t -> stats
 
@@ -87,8 +72,7 @@ val path_of : t -> Clio.Ids.logfile -> (string, Clio.Errors.t) result
 
 val list_logs : t -> string -> (Message.dir_entry list, Clio.Errors.t) result
 (** Children of a log file as {!Message.dir_entry} rows (id, full path,
-    perms, sublog count). On a v1 session the legacy listing lacks counts:
-    [entry_count] is 0 and the path is synthesized client-side. *)
+    perms, sublog count). *)
 
 val set_perms : t -> log:Clio.Ids.logfile -> int -> (unit, Clio.Errors.t) result
 
@@ -99,14 +83,14 @@ val append :
   log:Clio.Ids.logfile ->
   string ->
   (int64 option, Clio.Errors.t) result
+(** One entry: an {!append_batch} of one. *)
 
 val append_batch :
   ?force:bool -> t -> Message.batch_item list -> (int64 option list, Clio.Errors.t) result
 (** Send many entries — possibly for different log files — in one request,
     applied in arrival order; [force] commits the whole batch with a single
     durability point at batch end (group commit: N appends share one block
-    flush instead of N). Returns one timestamp per item, in order. Falls
-    back to per-entry round trips (plus one final force) on a v1 session. *)
+    flush instead of N). Returns one timestamp per item, in order. *)
 
 val force : t -> (unit, Clio.Errors.t) result
 
@@ -123,6 +107,8 @@ val with_cursor :
     on normal return, on [Error], and on exception. *)
 
 val next : cursor -> (Message.entry option, Clio.Errors.t) result
+(** One step forward: a {!next_chunk} of one entry. *)
+
 val prev : cursor -> (Message.entry option, Clio.Errors.t) result
 val close_cursor : cursor -> (unit, Clio.Errors.t) result
 
@@ -140,7 +126,7 @@ val next_chunk :
 (** One budgeted read: up to [max_entries] entries and roughly [max_bytes]
     payload bytes in a single round trip. The [bool] is end-of-log; until
     it is true, call again to continue (the continuation token advances
-    inside the cursor). On a v1 session degrades to one entry per call. *)
+    inside the cursor). *)
 
 val prev_chunk :
   ?max_entries:int ->

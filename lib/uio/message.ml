@@ -1,18 +1,14 @@
 type whence = From_start | From_end | From_time of int64
 
-(* Wire protocol versions. v1 is the original one-operation-per-round-trip
-   protocol (request tags 1-14, response tags 1-8); v2 adds batched appends,
-   chunked cursor reads, directory entries and typed errors (request tags
-   15-19, response tags 9-13); v3 adds the [Keyed] idempotency envelope
-   (request tag 20) and error codes 14-16 (Degraded/Timeout/Disconnected).
-   A v3 server answers v1/v2 requests with the matching response shapes, so
-   older clients interoperate unchanged.
+(* One request/response protocol. A single append is an [Append_batch] of
+   one and a single step is a chunk of one, so every operation has exactly
+   one message. Tags are stable wire numbers. The gaps (requests 5, 7, 10,
+   11, 15; responses 4, 5, 8, 9) stay unassigned, so a message from an
+   older peer decodes as unknown rather than as something else. The
+   [Keyed] idempotency envelope is request tag 20.
 
    The replication messages (request tags 21-23, response tags 14-15, error
-   codes 17-18) are a v3-era server-to-server extension: they are spoken
-   between a shipper and a replica endpoint, not negotiated through Hello,
-   so the client-facing protocol version stays 3. *)
-let protocol_version = 3
+   codes 17-18) are spoken between a shipper and a replica endpoint. *)
 
 type batch_item = {
   log : Clio.Ids.logfile;
@@ -34,28 +30,16 @@ type request =
   | Ensure_log of { path : string; perms : int }
   | Resolve of string
   | Path_of of Clio.Ids.logfile
-  | List_logs of string
   | Set_perms of { log : Clio.Ids.logfile; perms : int }
-  | Append of {
-      log : Clio.Ids.logfile;
-      extra_members : Clio.Ids.logfile list;
-      force : bool;
-      data : string;
-    }
   | Force
   | Open_cursor of { log : Clio.Ids.logfile; whence : whence }
-  | Next of int
-  | Prev of int
   | Close_cursor of int
   | Entry_at_or_after of { log : Clio.Ids.logfile; ts : int64 }
   | Entry_before of { log : Clio.Ids.logfile; ts : int64 }
-  (* ------------------------------- v2 ------------------------------- *)
-  | Hello of { version : int }
   | Append_batch of { force : bool; items : batch_item list }
   | Next_chunk of chunk
   | Prev_chunk of chunk
   | List_dir of string
-  (* ------------------------------- v3 ------------------------------- *)
   | Keyed of { key : int64; req : request }
       (* idempotency envelope: [key] is a client-generated id; the server
          keeps a bounded window of (key -> response) so a retried request
@@ -95,15 +79,10 @@ type response =
   | R_unit
   | R_id of int
   | R_path of string
-  | R_names of (int * string * int) list
-  | R_timestamp of int64 option
   | R_entry of entry option
-  | R_error of string
-  (* ------------------------------- v2 ------------------------------- *)
-  | R_version of int
   | R_timestamps of int64 option list
   | R_entries of { entries : entry list; seq : int; eof : bool }
-  | R_error_t of Clio.Errors.t
+  | R_error of Clio.Errors.t
   | R_dir of dir_entry list
   (* --------------------------- replication --------------------------- *)
   | R_repl_frontier of { epoch : int; seq_uid : int64; vols : (int * int) list }
@@ -115,16 +94,6 @@ type response =
          [next_block] is settled on the replica. Doubles as a NACK — a
          shipment that left a gap is answered with the replica's unchanged
          frontier, telling the shipper where to restart *)
-
-let is_v2_request = function
-  | Hello _ | Append_batch _ | Next_chunk _ | Prev_chunk _ | List_dir _ | Keyed _
-  | Repl_frontier _ | Repl_blocks _ | Repl_tail _ ->
-    true
-  | _ -> false
-
-let is_v3_request = function
-  | Keyed _ | Repl_frontier _ | Repl_blocks _ | Repl_tail _ -> true
-  | _ -> false
 
 let ( let* ) = Clio.Errors.( let* )
 
@@ -272,20 +241,10 @@ let rec put_request enc r =
   | Path_of id ->
     E.u8 enc 4;
     E.u16 enc id
-  | List_logs path ->
-    E.u8 enc 5;
-    put_string enc path
   | Set_perms { log; perms } ->
     E.u8 enc 6;
     E.u16 enc log;
     E.u16 enc perms
-  | Append { log; extra_members; force; data } ->
-    E.u8 enc 7;
-    E.u16 enc log;
-    E.u8 enc (if force then 1 else 0);
-    E.u8 enc (List.length extra_members);
-    List.iter (fun id -> E.u16 enc id) extra_members;
-    put_string enc data
   | Force -> E.u8 enc 8
   | Open_cursor { log; whence } ->
     E.u8 enc 9;
@@ -296,12 +255,6 @@ let rec put_request enc r =
     | From_time ts ->
       E.u8 enc 2;
       E.i64 enc ts)
-  | Next c ->
-    E.u8 enc 10;
-    E.u32 enc c
-  | Prev c ->
-    E.u8 enc 11;
-    E.u32 enc c
   | Close_cursor c ->
     E.u8 enc 12;
     E.u32 enc c
@@ -313,9 +266,6 @@ let rec put_request enc r =
     E.u8 enc 14;
     E.u16 enc log;
     E.i64 enc ts
-  | Hello { version } ->
-    E.u8 enc 15;
-    E.u16 enc version
   | Append_batch { force; items } ->
     E.u8 enc 16;
     E.u8 enc (if force then 1 else 0);
@@ -379,20 +329,10 @@ let decode_request s =
   | 4 ->
     let* id = D.u16 dec in
     Ok (Path_of id)
-  | 5 ->
-    let* path = get_string dec in
-    Ok (List_logs path)
   | 6 ->
     let* log = D.u16 dec in
     let* perms = D.u16 dec in
     Ok (Set_perms { log; perms })
-  | 7 ->
-    let* log = D.u16 dec in
-    let* force = D.u8 dec in
-    let* n = D.u8 dec in
-    let* extra_members = get_list dec n D.u16 [] in
-    let* data = get_string dec in
-    Ok (Append { log; extra_members; force = force = 1; data })
   | 8 -> Ok Force
   | 9 ->
     let* log = D.u16 dec in
@@ -407,16 +347,13 @@ let decode_request s =
       | _ -> Error (Clio.Errors.Bad_record "bad whence")
     in
     Ok (Open_cursor { log; whence })
-  | 10 | 11 | 12 ->
+  | 12 ->
     let* c = D.u32 dec in
-    Ok (match tag with 10 -> Next c | 11 -> Prev c | _ -> Close_cursor c)
+    Ok (Close_cursor c)
   | 13 | 14 ->
     let* log = D.u16 dec in
     let* ts = D.i64 dec in
     Ok (if tag = 13 then Entry_at_or_after { log; ts } else Entry_before { log; ts })
-  | 15 ->
-    let* version = D.u16 dec in
-    Ok (Hello { version })
   | 16 ->
     let* force = D.u8 dec in
     let* n = D.u16 dec in
@@ -486,28 +423,10 @@ let encode_response r =
   | R_path p ->
     E.u8 enc 3;
     put_string enc p
-  | R_names names ->
-    E.u8 enc 4;
-    E.u16 enc (List.length names);
-    List.iter
-      (fun (id, name, perms) ->
-        E.u16 enc id;
-        E.u16 enc perms;
-        put_string enc name)
-      names
-  | R_timestamp ts ->
-    E.u8 enc 5;
-    put_ts_opt enc ts
   | R_entry None -> E.u8 enc 6
   | R_entry (Some e) ->
     E.u8 enc 7;
     put_entry enc e
-  | R_error msg ->
-    E.u8 enc 8;
-    put_string enc msg
-  | R_version v ->
-    E.u8 enc 9;
-    E.u16 enc v
   | R_timestamps ts ->
     E.u8 enc 10;
     E.u16 enc (List.length ts);
@@ -518,7 +437,7 @@ let encode_response r =
     E.u8 enc (if eof then 1 else 0);
     E.u16 enc (List.length entries);
     List.iter (put_entry enc) entries
-  | R_error_t e ->
+  | R_error e ->
     E.u8 enc 12;
     encode_error enc e
   | R_dir entries ->
@@ -559,29 +478,10 @@ let decode_response s =
   | 3 ->
     let* p = get_string dec in
     Ok (R_path p)
-  | 4 ->
-    let* n = D.u16 dec in
-    let get_name dec =
-      let* id = D.u16 dec in
-      let* perms = D.u16 dec in
-      let* name = get_string dec in
-      Ok (id, name, perms)
-    in
-    let* names = get_list dec n get_name [] in
-    Ok (R_names names)
-  | 5 ->
-    let* ts = get_ts_opt dec in
-    Ok (R_timestamp ts)
   | 6 -> Ok (R_entry None)
   | 7 ->
     let* e = get_entry dec in
     Ok (R_entry (Some e))
-  | 8 ->
-    let* msg = get_string dec in
-    Ok (R_error msg)
-  | 9 ->
-    let* v = D.u16 dec in
-    Ok (R_version v)
   | 10 ->
     let* n = D.u16 dec in
     let* ts = get_list dec n get_ts_opt [] in
@@ -594,7 +494,7 @@ let decode_response s =
     Ok (R_entries { entries; seq; eof = eof = 1 })
   | 12 ->
     let* e = decode_error dec in
-    Ok (R_error_t e)
+    Ok (R_error e)
   | 13 ->
     let* n = D.u16 dec in
     let get_dir dec =

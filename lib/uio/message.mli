@@ -9,38 +9,33 @@
     (naming, appending, cursors, time search), so a client needs only a
     transport, not the server's address space.
 
-    {b Wire protocol v2.} The paper measures 0.5–3 ms of raw IPC per
-    operation (section 3.2); protocol v2 amortizes it with fewer, bigger
-    round trips:
-    - {!Append_batch} carries many entries (for possibly-different log
-      files) in one request, applied in arrival order with at most one
+    {b One protocol.} The paper measures 0.5–3 ms of raw IPC per
+    operation (section 3.2); the protocol amortizes it with fewer, bigger
+    round trips, and a single operation is simply the smallest batch:
+    - {!Append_batch} carries one or more entries (for possibly-different
+      log files) in one request, applied in arrival order with at most one
       force at batch end (group commit), answered by {!R_timestamps};
     - {!Next_chunk}/{!Prev_chunk} carry an entry/byte budget and return a
       vector of entries plus a continuation token ([seq]) and an [eof]
       flag in {!R_entries};
-    - {!Hello} negotiates the version: the server answers {!R_version}
-      [min(client, server)]. v1 requests (tags 1–14) still decode and get
-      v1-shaped responses, so a v1 client interoperates unchanged; errors
-      to v2-negotiated peers travel typed as {!R_error_t}.
+    - every failure travels as {!R_error} carrying a typed
+      {!Clio.Errors.t}.
 
-    {b Wire protocol v3.} Adds end-to-end fault tolerance over lossy
-    transports: the {!Keyed} envelope (tag 20) wraps any request with a
-    client-generated idempotency key, letting a client retry after a lost
-    acknowledgement without re-applying the operation — the server's
+    {b Fault tolerance.} The {!Keyed} envelope (tag 20) wraps a request
+    with a client-generated idempotency key, letting a client retry after a
+    lost acknowledgement without re-applying the operation — the server's
     per-connection dedup window replays the original response, original
-    timestamps included. Error codes 14–16 travel [Degraded] (the server's
-    write-path circuit breaker is open), [Timeout] and [Disconnected].
+    timestamps included. {!Client} sends every request keyed.
 
     {b Replication (server-to-server).} The [Repl_*] requests (tags 21–23),
     [R_repl_*] responses (tags 14–15) and error codes 17–18
-    ([Not_primary]/[Stale_epoch]) are a v3-era extension spoken between a
-    primary's shipper and a replica endpoint ({!Repl} library). Because
+    ([Not_primary]/[Stale_epoch]) are spoken between a primary's shipper
+    and a replica endpoint ({!Repl} library). Because
     WORM volumes are append-only and byte-stable, replication reduces to
     streaming verbatim settled blocks plus an explicitly-marked volatile
     tail image; every message carries the sender's epoch so a deposed
-    primary is fenced with [Stale_epoch]. These messages are not part of
-    the client negotiation — a plain server answers them with an error —
-    so [protocol_version] stays 3.
+    primary is fenced with [Stale_epoch]. A plain server answers them
+    with an error.
 
     Cursors are server-side state named by small integers, as V-style
     file-access protocols did; the chunk [seq] makes their continuation
@@ -48,9 +43,6 @@
     ([Errors.Cursor_expired]) instead of silently misreading. *)
 
 type whence = From_start | From_end | From_time of int64
-
-val protocol_version : int
-(** The highest protocol version this build speaks (3). *)
 
 (** One entry of an {!Append_batch} request. *)
 type batch_item = {
@@ -80,29 +72,19 @@ type request =
   | Ensure_log of { path : string; perms : int }
   | Resolve of string
   | Path_of of Clio.Ids.logfile
-  | List_logs of string
   | Set_perms of { log : Clio.Ids.logfile; perms : int }
-  | Append of {
-      log : Clio.Ids.logfile;
-      extra_members : Clio.Ids.logfile list;
-      force : bool;
-      data : string;
-    }
   | Force
   | Open_cursor of { log : Clio.Ids.logfile; whence : whence }
-  | Next of int
-  | Prev of int
   | Close_cursor of int
   | Entry_at_or_after of { log : Clio.Ids.logfile; ts : int64 }
   | Entry_before of { log : Clio.Ids.logfile; ts : int64 }
-  | Hello of { version : int }  (** v2: version negotiation *)
   | Append_batch of { force : bool; items : batch_item list }
-      (** v2: group commit — one force at batch end at most *)
-  | Next_chunk of chunk  (** v2: budgeted forward read *)
-  | Prev_chunk of chunk  (** v2: budgeted backward read *)
-  | List_dir of string  (** v2: listing with {!dir_entry} rows *)
+      (** group commit — one force at batch end at most *)
+  | Next_chunk of chunk  (** budgeted forward read *)
+  | Prev_chunk of chunk  (** budgeted backward read *)
+  | List_dir of string  (** listing with {!dir_entry} rows *)
   | Keyed of { key : int64; req : request }
-      (** v3: idempotency envelope. [key] is a client-generated identifier
+      (** idempotency envelope. [key] is a client-generated identifier
           for the enclosed request; the server remembers a bounded window of
           (key → response) per connection, so a retry of the same key — sent
           because the first ack was lost — replays the original response
@@ -147,19 +129,13 @@ type response =
   | R_unit
   | R_id of int
   | R_path of string
-  | R_names of (int * string * int) list
-      (** (id, name, perms) — the v1 listing shape, kept verbatim so v1
-          clients still decode [List_logs] replies *)
-  | R_timestamp of int64 option
   | R_entry of entry option
-  | R_error of string  (** v1 string errors (and the unknown-code fallback) *)
-  | R_version of int  (** v2: negotiated version *)
-  | R_timestamps of int64 option list  (** v2: one per {!batch_item}, in order *)
+  | R_timestamps of int64 option list  (** one per {!batch_item}, in order *)
   | R_entries of { entries : entry list; seq : int; eof : bool }
-      (** v2: chunk payload plus the next continuation token; [eof] means
-          the cursor saw the end (resp. start) of the log *)
-  | R_error_t of Clio.Errors.t  (** v2: typed errors *)
-  | R_dir of dir_entry list  (** v2 listing *)
+      (** chunk payload plus the next continuation token; [eof] means the
+          cursor saw the end (resp. start) of the log *)
+  | R_error of Clio.Errors.t  (** every failure, typed *)
+  | R_dir of dir_entry list
   | R_repl_frontier of { epoch : int; seq_uid : int64; vols : (int * int) list }
       (** replication: the replica's epoch, the volume-sequence uid it
           holds ([0L] when empty) and one (vol_index, settled frontier)
@@ -170,12 +146,6 @@ type response =
           as the NACK for a shipment that would leave a gap: the replica
           answers its unchanged frontier, telling the shipper where to
           restart. *)
-
-val is_v2_request : request -> bool
-
-val is_v3_request : request -> bool
-(** [true] exactly for {!Keyed} — requests a v2-or-older server would
-    reject with an unknown-tag error. *)
 
 val encode_request : request -> string
 val decode_request : string -> (request, Clio.Errors.t) result

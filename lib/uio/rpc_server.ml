@@ -1,6 +1,5 @@
-(* One [t] per connection: the cursor table, the negotiated protocol
-   version, the continuation sequence numbers and the idempotency-key dedup
-   window are all peer state. *)
+(* One [t] per connection: the cursor table, the continuation sequence
+   numbers and the idempotency-key dedup window are all peer state. *)
 
 type slot = { cur : Clio.Reader.cursor; mutable seq : int }
 
@@ -9,7 +8,6 @@ type t = {
   max_cursors : int;
   mutable cursors : slot Blockcache.Lru.t;
   mutable next_cursor : int;
-  mutable peer_version : int;
   dedup_capacity : int;
   dedup : (int64, string) Hashtbl.t;  (** idempotency key -> encoded response *)
   dedup_order : int64 Queue.t;  (** FIFO of live keys, oldest first *)
@@ -30,7 +28,6 @@ let create ?(max_cursors = default_max_cursors) ?(dedup_window = default_dedup_w
     max_cursors = max 1 max_cursors;
     cursors = Blockcache.Lru.create ~capacity:(max 1 max_cursors);
     next_cursor = 1;
-    peer_version = 1;
     dedup_capacity = max 0 dedup_window;
     dedup = Hashtbl.create 64;
     dedup_order = Queue.create ();
@@ -46,9 +43,9 @@ let server t = t.srv
 (* Swap in a rebuilt server (a replica re-recovers after applying shipped
    blocks). Cursors point into the old server's volumes, so they are all
    dropped — a reader sees [Cursor_expired] and reopens, exactly as after a
-   server reboot. The peer's negotiated version and dedup window survive:
-   the connection itself never went away. Metric handles are re-resolved
-   because the new server carries a fresh registry. *)
+   server reboot. The dedup window survives: the connection itself never
+   went away. Metric handles are re-resolved because the new server
+   carries a fresh registry. *)
 let set_server t srv =
   let m = Clio.Server.metrics srv in
   t.srv <- srv;
@@ -65,17 +62,12 @@ let rec request_name : Message.request -> string = function
   | Message.Ensure_log _ -> "rpc.ensure_log"
   | Message.Resolve _ -> "rpc.resolve"
   | Message.Path_of _ -> "rpc.path_of"
-  | Message.List_logs _ -> "rpc.list_logs"
   | Message.Set_perms _ -> "rpc.set_perms"
-  | Message.Append _ -> "rpc.append"
   | Message.Force -> "rpc.force"
   | Message.Open_cursor _ -> "rpc.open_cursor"
-  | Message.Next _ -> "rpc.next"
-  | Message.Prev _ -> "rpc.prev"
   | Message.Close_cursor _ -> "rpc.close_cursor"
   | Message.Entry_at_or_after _ -> "rpc.entry_at_or_after"
   | Message.Entry_before _ -> "rpc.entry_before"
-  | Message.Hello _ -> "rpc.hello"
   | Message.Append_batch _ -> "rpc.append_batch"
   | Message.Next_chunk _ -> "rpc.next_chunk"
   | Message.Prev_chunk _ -> "rpc.prev_chunk"
@@ -91,13 +83,7 @@ let entry_of (e : Clio.Reader.entry) =
     payload = e.Clio.Reader.payload;
   }
 
-(* Error replies follow the negotiated version: typed [R_error_t] once the
-   peer said Hello with version >= 2, the v1 string form otherwise. *)
-let error_reply t e =
-  if t.peer_version >= 2 then Message.R_error_t e
-  else Message.R_error (Clio.Errors.to_string e)
-
-let reply t r f = match r with Ok v -> f v | Error e -> error_reply t e
+let reply r f = match r with Ok v -> f v | Error e -> Message.R_error e
 
 let register_cursor t cur =
   let id = t.next_cursor in
@@ -138,32 +124,24 @@ let read_chunk step slot (c : Message.chunk) =
 
 let chunk_reply t step (c : Message.chunk) =
   match find_slot t c with
-  | Error e -> error_reply t e
+  | Error e -> Message.R_error e
   | Ok slot ->
-    reply t (read_chunk step slot c) (fun (entries, eof) ->
+    reply (read_chunk step slot c) (fun (entries, eof) ->
         slot.seq <- slot.seq + 1;
         Message.R_entries { entries; seq = slot.seq; eof })
 
 let rec run_inner t (req : Message.request) : Message.response =
   match req with
   | Message.Create_log { path; perms } ->
-    reply t (Clio.Server.create_log ~perms t.srv path) (fun id -> Message.R_id id)
+    reply (Clio.Server.create_log ~perms t.srv path) (fun id -> Message.R_id id)
   | Message.Ensure_log { path; perms } ->
-    reply t (Clio.Server.ensure_log ~perms t.srv path) (fun id -> Message.R_id id)
+    reply (Clio.Server.ensure_log ~perms t.srv path) (fun id -> Message.R_id id)
   | Message.Resolve path ->
-    reply t (Clio.Server.resolve t.srv path) (fun id -> Message.R_id id)
+    reply (Clio.Server.resolve t.srv path) (fun id -> Message.R_id id)
   | Message.Path_of id -> Message.R_path (Clio.Server.path_of t.srv id)
-  | Message.List_logs path ->
-    reply t (Clio.Server.list_logs t.srv path) (fun ds ->
-        Message.R_names
-          (List.map (fun d -> (d.Clio.Catalog.id, d.Clio.Catalog.name, d.Clio.Catalog.perms)) ds))
   | Message.Set_perms { log; perms } ->
-    reply t (Clio.Server.set_perms t.srv ~log perms) (fun () -> Message.R_unit)
-  | Message.Append { log; extra_members; force; data } ->
-    reply t
-      (Clio.Server.append ~extra_members ~force t.srv ~log data)
-      (fun ts -> Message.R_timestamp ts)
-  | Message.Force -> reply t (Clio.Server.force t.srv) (fun () -> Message.R_unit)
+    reply (Clio.Server.set_perms t.srv ~log perms) (fun () -> Message.R_unit)
+  | Message.Force -> reply (Clio.Server.force t.srv) (fun () -> Message.R_unit)
   | Message.Open_cursor { log; whence } ->
     let cursor =
       match whence with
@@ -171,29 +149,16 @@ let rec run_inner t (req : Message.request) : Message.response =
       | Message.From_end -> Clio.Server.cursor_end t.srv ~log
       | Message.From_time ts -> Clio.Server.cursor_at_time t.srv ~log ts
     in
-    reply t cursor (register_cursor t)
-  | Message.Next cid -> (
-    match Blockcache.Lru.find t.cursors cid with
-    | None -> error_reply t Clio.Errors.Cursor_expired
-    | Some slot ->
-      reply t (Clio.Server.next slot.cur) (fun e -> Message.R_entry (Option.map entry_of e)))
-  | Message.Prev cid -> (
-    match Blockcache.Lru.find t.cursors cid with
-    | None -> error_reply t Clio.Errors.Cursor_expired
-    | Some slot ->
-      reply t (Clio.Server.prev slot.cur) (fun e -> Message.R_entry (Option.map entry_of e)))
+    reply cursor (register_cursor t)
   | Message.Close_cursor cid ->
     Blockcache.Lru.remove t.cursors cid;
     Message.R_unit
   | Message.Entry_at_or_after { log; ts } ->
-    reply t (Clio.Server.entry_at_or_after t.srv ~log ts) (fun e ->
+    reply (Clio.Server.entry_at_or_after t.srv ~log ts) (fun e ->
         Message.R_entry (Option.map entry_of e))
   | Message.Entry_before { log; ts } ->
-    reply t (Clio.Server.entry_before t.srv ~log ts) (fun e ->
+    reply (Clio.Server.entry_before t.srv ~log ts) (fun e ->
         Message.R_entry (Option.map entry_of e))
-  | Message.Hello { version } ->
-    t.peer_version <- max 1 (min version Message.protocol_version);
-    Message.R_version t.peer_version
   | Message.Append_batch { force; items } ->
     let items =
       List.map
@@ -201,16 +166,16 @@ let rec run_inner t (req : Message.request) : Message.response =
           { Clio.Server.log; extra_members; payload = data })
         items
     in
-    reply t (Clio.Server.append_batch ~force t.srv items) (fun ts -> Message.R_timestamps ts)
+    reply (Clio.Server.append_batch ~force t.srv items) (fun ts -> Message.R_timestamps ts)
   | Message.Next_chunk c -> chunk_reply t Clio.Server.next c
   | Message.Prev_chunk c -> chunk_reply t Clio.Server.prev c
   | Message.List_dir path ->
-    reply t (Message.dir_entries t.srv path) (fun ds -> Message.R_dir ds)
+    reply (Message.dir_entries t.srv path) (fun ds -> Message.R_dir ds)
   | Message.Repl_frontier _ | Message.Repl_blocks _ | Message.Repl_tail _ ->
     (* Replication traffic is intercepted by [Repl.Replica.handler] before
        it reaches the plain dispatcher; a shipper that reached one anyway
        is pointed at the wrong endpoint. *)
-    error_reply t (Clio.Errors.Bad_record "replication message sent to a non-replica endpoint")
+    Message.R_error (Clio.Errors.Bad_record "replication message sent to a non-replica endpoint")
   | Message.Keyed { req; _ } ->
     (* Unreachable through [handle], which unwraps the envelope to consult
        the dedup window first; kept total for direct [run] callers. *)
@@ -224,12 +189,12 @@ let run t (req : Message.request) : Message.response =
     Obs.time (Clio.Server.obs t.srv) t.h_rpc (request_name req) (fun () -> run_inner t req)
   in
   (match response with
-  | Message.R_error _ | Message.R_error_t _ -> Obs.Metrics.incr t.c_errors
+  | Message.R_error _ -> Obs.Metrics.incr t.c_errors
   | _ -> ());
   response
 
 let run_safe t req =
-  try run t req with exn -> error_reply t (Clio.Errors.Remote (Printexc.to_string exn))
+  try run t req with exn -> Message.R_error (Clio.Errors.Remote (Printexc.to_string exn))
 
 (* The dedup window remembers the encoded response of the last
    [dedup_capacity] keyed requests (FIFO). A key is recorded once — the
@@ -247,7 +212,7 @@ let dedup_store t key resp =
 
 let handle t raw =
   match Message.decode_request raw with
-  | Error e -> Message.encode_response (error_reply t e)
+  | Error e -> Message.encode_response (Message.R_error e)
   | Ok (Message.Keyed { key; req }) -> (
     match Hashtbl.find_opt t.dedup key with
     | Some cached ->
@@ -260,5 +225,4 @@ let handle t raw =
   | Ok req -> Message.encode_response (run_safe t req)
 
 let open_cursors t = Blockcache.Lru.length t.cursors
-let peer_version t = t.peer_version
 let dedup_entries t = Hashtbl.length t.dedup

@@ -1,15 +1,14 @@
 (** Server-side dispatcher: decodes requests, runs them against a
     {!Clio.Server.t}, encodes responses.
 
-    One [t] per connection — it holds peer state: the negotiated protocol
-    version (v1 until the peer sends [Hello]) and the cursor table. Cursors
-    live in a bounded LRU (capacity [max_cursors]): opening one past the cap
-    evicts the least-recently-used, whose id then answers
-    [Errors.Cursor_expired] — no more leaking until the server dies, as in
-    the V-System era. Error replies are typed ([R_error_t]) once the peer
-    negotiated v2, v1 strings otherwise.
+    One [t] per connection — it holds peer state: the cursor table and the
+    dedup window. Cursors live in a bounded LRU (capacity [max_cursors]):
+    opening one past the cap evicts the least-recently-used, whose id then
+    answers [Errors.Cursor_expired] — no more leaking until the server dies,
+    as in the V-System era. Every failure is answered with a typed
+    [R_error].
 
-    {b Idempotent retries (v3).} A [Message.Keyed] request is answered from
+    {b Idempotent retries.} A [Message.Keyed] request is answered from
     a bounded per-connection dedup window when its key was seen before: the
     cached {e encoded} response is replayed byte-for-byte (original
     timestamps included) and the operation is not re-run. The window holds
@@ -33,16 +32,14 @@ val server : t -> Clio.Server.t
 val set_server : t -> Clio.Server.t -> unit
 (** Swap in a rebuilt server (a replica re-recovers after applying shipped
     blocks). All cursors are dropped — their ids answer [Cursor_expired],
-    as after a reboot — while the negotiated version and the dedup window
-    survive, because the connection itself never went away. *)
+    as after a reboot — while the dedup window survives, because the
+    connection itself never went away. *)
 
 val handle : t -> string -> string
 (** Total: malformed requests and failed operations come back as
-    [R_error]/[R_error_t]; [handle] never raises. *)
+    [R_error]; [handle] never raises. *)
 
 val open_cursors : t -> int
-val peer_version : t -> int
-(** 1 until the peer's [Hello] negotiates higher. *)
 
 val dedup_entries : t -> int
 (** Live keys in the dedup window (for tests and introspection). *)

@@ -6,8 +6,8 @@
     different workstations is 2.5 ms-3 ms." A transport carries one
     request's bytes to a handler and the response's bytes back, charging a
     modeled round-trip cost against a simulated clock, so benches can put
-    the paper's IPC constants back into the totals — and so the v2 batching
-    protocol's fewer-round-trips win is directly measurable.
+    the paper's IPC constants back into the totals — and so the
+    fewer-round-trips win of batching is directly measurable.
 
     {b Fault injection.} {!lossy} wraps any transport in a deterministic
     chaos layer driven by a {!Sim.Rng.t}: requests and responses get

@@ -142,9 +142,6 @@ let test_lossy_transport_soak () =
       let ops = ops_of_seed seed in
       (* Chaos run. *)
       let f, rpc, tr, client = chaos_run seed in
-      if Uio.Client.version client <> 3 then
-        Alcotest.failf "seed %Ld: expected a v3 session, got v%d" seed
-          (Uio.Client.version client);
       let a, b, acks = drive ~seed client ops in
       (* Fault-free run of the same ops. *)
       let f0, client0 = plain_run seed in
@@ -392,19 +389,10 @@ let test_degraded_error_crosses_the_wire () =
   let rpc = Uio.Rpc_server.create f.srv in
   let tr = Uio.Transport.local ~clock:f.clock (Uio.Rpc_server.handle rpc) in
   let client = Uio.Client.connect tr in
-  (match Uio.Client.create_log client "/r" with
+  match Uio.Client.create_log client "/r" with
   | Error Clio.Errors.Degraded -> ()
   | Error e -> Alcotest.failf "expected Degraded, got %s" (Clio.Errors.to_string e)
-  | Ok _ -> Alcotest.fail "must be degraded");
-  (* A v1 client sees the same condition as a string error. *)
-  let rpc1 = Uio.Rpc_server.create f.srv in
-  let tr1 = Uio.Transport.local ~clock:f.clock (Uio.Rpc_server.handle rpc1) in
-  let client1 = Uio.Client.connect ~max_version:1 tr1 in
-  match Uio.Client.create_log client1 "/r" with
-  | Error (Clio.Errors.Remote msg) ->
-    Alcotest.(check bool) "v1 message mentions degraded" true
-      (String.length msg > 0)
-  | _ -> Alcotest.fail "v1 must get a string error"
+  | Ok _ -> Alcotest.fail "must be degraded"
 
 let () =
   run "chaos"

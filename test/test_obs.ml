@@ -60,6 +60,37 @@ let test_histogram_negative_and_reset () =
   Alcotest.(check int) "reset" 0 (Obs.Histogram.count h);
   Alcotest.(check bool) "empty mean is nan" true (Float.is_nan (Obs.Histogram.mean h))
 
+let test_histogram_all_zero () =
+  (* Regression: the bucket top was clamped to max+1, so an all-zero
+     histogram reported p50 = 0.5 and p99 = 0.99 with max = 0. *)
+  let h = Obs.Histogram.create () in
+  for _ = 1 to 462 do
+    Obs.Histogram.record h 0
+  done;
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "p%g" (q *. 100.)) 0.0
+        (Obs.Histogram.percentile h q))
+    [ 0.0; 0.5; 0.9; 0.99; 1.0 ]
+
+let prop_quantiles_within_extremes =
+  (* Every quantile lies in [min, max] and never decreases as q grows. *)
+  let gen =
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 1 60)
+           (oneof [ int_range 0 40; int_range 0 5000; int_range 0 (1 lsl 40) ]))
+        (float_range 0.0 1.0) (float_range 0.0 1.0))
+  in
+  qtest ~count:500 "quantiles within [min, max] and monotone" gen (fun (samples, q1, q2) ->
+      let h = Obs.Histogram.create () in
+      List.iter (Obs.Histogram.record h) samples;
+      let lo = float_of_int (Obs.Histogram.min_value h) in
+      let hi = float_of_int (Obs.Histogram.max_value h) in
+      let q1, q2 = (Float.min q1 q2, Float.max q1 q2) in
+      let p1 = Obs.Histogram.percentile h q1 and p2 = Obs.Histogram.percentile h q2 in
+      lo <= p1 && p1 <= hi && lo <= p2 && p2 <= hi && p1 <= p2)
+
 (* ------------------------------ metrics --------------------------------- *)
 
 let test_metrics_registry () =
@@ -301,6 +332,8 @@ let () =
           Alcotest.test_case "exact range" `Quick test_histogram_exact_range;
           Alcotest.test_case "quantile error" `Quick test_histogram_quantile_error;
           Alcotest.test_case "negative+reset" `Quick test_histogram_negative_and_reset;
+          Alcotest.test_case "all-zero quantiles are zero" `Quick test_histogram_all_zero;
+          prop_quantiles_within_extremes;
         ] );
       ( "metrics",
         [ Alcotest.test_case "registry" `Quick test_metrics_registry ] );

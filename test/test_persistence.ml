@@ -1,7 +1,8 @@
 (* Integration over real file-backed volumes: a server's state persists
    across process-style close/reopen cycles, and the deep verifier stays
-   happy. Also the regression test for the recovery ordering bug fsck
-   found: sublog ancestor bits must survive recovery. *)
+   happy. Also the regression tests for the recovery ordering bug fsck
+   found (sublog ancestor bits must survive recovery) and for forces that
+   never reached the device's flush (fsync). *)
 
 open Testkit
 
@@ -129,6 +130,80 @@ let test_deep_hierarchy_recovery_equivalence () =
       done)
     [ "/a"; "/a/b"; "/a/b/c"; "/a/d" ]
 
+(* ------------------------- force reaches the disk ------------------------- *)
+
+(* A device wrapper that counts flushes and remembers how many blocks had
+   been appended when each flush ran. *)
+type flush_probe = { mutable appends : int; mutable flushes : (int * int) list }
+
+let probed_alloc probe ~block_size ~capacity ~vol_index =
+  let io = Worm.Mem_device.io (Worm.Mem_device.create ~block_size ~capacity ()) in
+  Ok
+    {
+      io with
+      Worm.Block_io.append =
+        (fun b ->
+          probe.appends <- probe.appends + 1;
+          io.Worm.Block_io.append b);
+      flush =
+        (fun () ->
+          probe.flushes <- (vol_index, probe.appends) :: probe.flushes;
+          io.Worm.Block_io.flush ());
+    }
+
+let test_force_flushes_device nvram () =
+  (* Regression: [force] staged the tail (NVRAM) or burned it, but never
+     called the device's flush, so on a file-backed volume an acknowledged
+     forced write had no fsync behind it. In both branches a force must
+     flush, after every block it and the appends before it burned. *)
+  let probe = { appends = 0; flushes = [] } in
+  let config = { Clio.Config.default with block_size = 256; nvram_tail = nvram } in
+  let srv =
+    ok
+      (Clio.Server.create ~config ~clock:(Sim.Clock.simulated ())
+         ?nvram:(if nvram then Some (Worm.Nvram.create ()) else None)
+         ~alloc_volume:(probed_alloc probe ~block_size:256 ~capacity:1024) ())
+  in
+  let log = ok (Clio.Server.create_log srv "/d") in
+  probe.flushes <- [];
+  (* Unforced entries that fill several blocks: no durability point yet. *)
+  for i = 1 to 5 do
+    ignore (ok (Clio.Server.append srv ~log (Printf.sprintf "%d%s" i (String.make 150 'x'))))
+  done;
+  Alcotest.(check int) "no flush before the force" 0 (List.length probe.flushes);
+  let filled = probe.appends in
+  Alcotest.(check bool) "full blocks were burned" true (filled > 1);
+  ignore (ok (Clio.Server.force srv));
+  match probe.flushes with
+  | [ (0, at) ] ->
+    Alcotest.(check int) "flushed after every burned block" probe.appends at;
+    Alcotest.(check int)
+      (if nvram then "tail staged, not burned" else "tail burned")
+      (if nvram then filled else filled + 1)
+      probe.appends
+  | l -> Alcotest.failf "expected one flush of volume 0, got %d" (List.length l)
+
+let test_roll_flushes_sealed_volume () =
+  (* Filling a volume seals it: its blocks are flushed before the sequence
+     moves on, so a later force on the successor leaves nothing unsynced. *)
+  let probe = { appends = 0; flushes = [] } in
+  let config = { Clio.Config.default with block_size = 256 } in
+  let srv =
+    ok
+      (Clio.Server.create ~config ~clock:(Sim.Clock.simulated ()) ~nvram:(Worm.Nvram.create ())
+         ~alloc_volume:(probed_alloc probe ~block_size:256 ~capacity:32) ())
+  in
+  let log = ok (Clio.Server.create_log srv "/r") in
+  probe.flushes <- [];
+  for i = 1 to 60 do
+    ignore (ok (Clio.Server.append srv ~log (Printf.sprintf "%d%s" i (String.make 150 'x'))))
+  done;
+  ignore (ok (Clio.Server.force srv));
+  let nvols = Clio.State.nvols (Clio.Server.state srv) in
+  Alcotest.(check bool) "rolled onto a successor" true (nvols > 1);
+  Alcotest.(check (list int)) "every volume flushed" (List.init nvols Fun.id)
+    (List.sort_uniq compare (List.map fst probe.flushes))
+
 let () =
   run "persistence"
     [
@@ -137,6 +212,15 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_file_backed_roundtrip;
           Alcotest.test_case "multivolume" `Quick test_file_backed_multivolume;
           Alcotest.test_case "reopen/append/reopen" `Quick test_reopen_append_reopen;
+        ] );
+      ( "durability",
+        [
+          Alcotest.test_case "force flushes the device (NVRAM tail)" `Quick
+            (test_force_flushes_device true);
+          Alcotest.test_case "force flushes the device (burned tail)" `Quick
+            (test_force_flushes_device false);
+          Alcotest.test_case "roll flushes the sealed volume" `Quick
+            test_roll_flushes_sealed_volume;
         ] );
       ( "hierarchy-recovery",
         [

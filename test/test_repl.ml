@@ -67,7 +67,6 @@ let test_ship_and_serve () =
   Alcotest.(check int) "lag gauge zero" 0 (Clio.Server.repl_lag_blocks f.srv);
   (* The replica serves ordinary read traffic over the same endpoint. *)
   let client = Uio.Client.connect tr in
-  Alcotest.(check int) "v3 negotiated" 3 (Uio.Client.version client);
   let payloads log =
     List.rev
       (okc "fold"

@@ -1,17 +1,17 @@
-(* The UIO RPC layer: codec roundtrips (v1 and v2), version negotiation,
-   batched appends with group commit, chunked cursor reads with
-   continuation tokens, cursor hygiene (LRU cap, with_cursor bracket),
-   typed error propagation, and the modeled IPC accounting. *)
+(* The UIO RPC layer: codec roundtrips, batched appends with group commit,
+   chunked cursor reads with continuation tokens, cursor hygiene (LRU cap,
+   with_cursor bracket), typed error propagation, keyed retries, and the
+   modeled IPC accounting. *)
 
 open Testkit
 
-let rpc_fixture ?(latency_us = 0L) ?max_cursors ?max_version () =
+let rpc_fixture ?(latency_us = 0L) ?max_cursors () =
   let f = make_fixture () in
   let rpc = Uio.Rpc_server.create ?max_cursors f.srv in
   let transport =
     Uio.Transport.local ~latency_us ~clock:f.clock (Uio.Rpc_server.handle rpc)
   in
-  (f, rpc, Uio.Client.connect ?max_version transport, transport)
+  (f, rpc, Uio.Client.connect transport, transport)
 
 let okr = function
   | Ok v -> v
@@ -27,20 +27,14 @@ let requests_roundtrip () =
       Uio.Message.Ensure_log { path = "/x"; perms = 0o644 };
       Uio.Message.Resolve "/a";
       Uio.Message.Path_of 42;
-      Uio.Message.List_logs "/";
       Uio.Message.Set_perms { log = 7; perms = 0o400 };
-      Uio.Message.Append { log = 9; extra_members = [ 10; 11 ]; force = true; data = "payload" };
-      Uio.Message.Append { log = 9; extra_members = []; force = false; data = "" };
       Uio.Message.Force;
       Uio.Message.Open_cursor { log = 5; whence = Uio.Message.From_start };
       Uio.Message.Open_cursor { log = 5; whence = Uio.Message.From_end };
       Uio.Message.Open_cursor { log = 5; whence = Uio.Message.From_time 123456789L };
-      Uio.Message.Next 3;
-      Uio.Message.Prev 4;
       Uio.Message.Close_cursor 5;
       Uio.Message.Entry_at_or_after { log = 6; ts = -1L };
       Uio.Message.Entry_before { log = 6; ts = Int64.max_int };
-      Uio.Message.Hello { version = 2 };
       Uio.Message.Append_batch { force = true; items = [] };
       Uio.Message.Append_batch
         {
@@ -59,8 +53,11 @@ let requests_roundtrip () =
         {
           key = -1L;
           req =
-            Uio.Message.Append
-              { log = 9; extra_members = [ 10 ]; force = true; data = "keyed" };
+            Uio.Message.Append_batch
+              {
+                force = true;
+                items = [ { Uio.Message.log = 9; extra_members = [ 10 ]; data = "keyed" } ];
+              };
         };
       Uio.Message.Repl_frontier { epoch = 3 };
       Uio.Message.Repl_blocks
@@ -99,14 +96,9 @@ let responses_roundtrip () =
       Uio.Message.R_unit;
       Uio.Message.R_id 77;
       Uio.Message.R_path "/mail/smith";
-      Uio.Message.R_names [ (4, "mail", 0o644); (5, "usage", 0o600) ];
-      Uio.Message.R_timestamp None;
-      Uio.Message.R_timestamp (Some 99L);
       Uio.Message.R_entry None;
       Uio.Message.R_entry (Some e1);
       Uio.Message.R_entry (Some e2);
-      Uio.Message.R_error "boom";
-      Uio.Message.R_version 2;
       Uio.Message.R_timestamps [];
       Uio.Message.R_timestamps [ Some 1L; None; Some 3L ];
       Uio.Message.R_entries { entries = [ e1; e2 ]; seq = 9; eof = false };
@@ -116,7 +108,7 @@ let responses_roundtrip () =
           { Uio.Message.id = 4; path = "/mail"; perms = 0o644; entry_count = 2 };
           { Uio.Message.id = 9; path = "/mail/smith"; perms = 0o600; entry_count = 0 };
         ];
-      Uio.Message.R_error_t Clio.Errors.No_entry;
+      Uio.Message.R_error Clio.Errors.No_entry;
       Uio.Message.R_repl_frontier
         { epoch = 4; seq_uid = 77L; vols = [ (0, 1024); (1, 17) ] };
       Uio.Message.R_repl_frontier { epoch = 1; seq_uid = 0L; vols = [] };
@@ -162,8 +154,8 @@ let errors_roundtrip () =
   in
   List.iter
     (fun e ->
-      match ok (Uio.Message.decode_response (Uio.Message.encode_response (Uio.Message.R_error_t e))) with
-      | Uio.Message.R_error_t e2 ->
+      match ok (Uio.Message.decode_response (Uio.Message.encode_response (Uio.Message.R_error e))) with
+      | Uio.Message.R_error e2 ->
         Alcotest.(check bool) (Clio.Errors.to_string e) true (e = e2)
       | _ -> Alcotest.fail "typed error did not roundtrip")
     samples
@@ -172,22 +164,35 @@ let codec_rejects_garbage () =
   (match Uio.Message.decode_request "\xFFgarbage" with
   | Error (Clio.Errors.Bad_record _) -> ()
   | _ -> Alcotest.fail "bad request tag must fail");
+  (* Retired tags stay unassigned: they decode as unknown, never as a
+     different message. *)
+  List.iter
+    (fun tag ->
+      match Uio.Message.decode_request (String.make 1 (Char.chr tag) ^ String.make 16 '\000') with
+      | Error (Clio.Errors.Bad_record _) -> ()
+      | _ -> Alcotest.failf "retired request tag %d must fail" tag)
+    [ 5; 7; 10; 11; 15 ];
+  List.iter
+    (fun tag ->
+      match Uio.Message.decode_response (String.make 1 (Char.chr tag) ^ String.make 16 '\000') with
+      | Error (Clio.Errors.Bad_record _) -> ()
+      | _ -> Alcotest.failf "retired response tag %d must fail" tag)
+    [ 4; 5; 8; 9 ];
   match Uio.Message.decode_response "" with
   | Error (Clio.Errors.Bad_record _) -> ()
   | _ -> Alcotest.fail "empty response must fail"
 
-(* --------------------------- negotiation --------------------------- *)
+(* ------------------------------ protocol ------------------------------ *)
 
-let test_version_negotiation () =
-  let _f, rpc, client, _tr = rpc_fixture () in
-  Alcotest.(check int) "client negotiated v3" 3 (Uio.Client.version client);
-  Alcotest.(check int) "server saw the hello" 3 (Uio.Rpc_server.peer_version rpc);
-  let _f2, rpc2, client2, _tr2 = rpc_fixture ~max_version:2 () in
-  Alcotest.(check int) "v2-capped client stays at v2" 2 (Uio.Client.version client2);
-  Alcotest.(check int) "server honors the cap" 2 (Uio.Rpc_server.peer_version rpc2);
-  let _f1, rpc1, client1, _tr1 = rpc_fixture ~max_version:1 () in
-  Alcotest.(check int) "forced v1 client" 1 (Uio.Client.version client1);
-  Alcotest.(check int) "server stays at v1" 1 (Uio.Rpc_server.peer_version rpc1)
+let test_connect_is_free () =
+  (* One protocol: connecting negotiates nothing, so the first round trip
+     is the first real request. *)
+  let _f, _rpc, client, tr = rpc_fixture () in
+  Alcotest.(check int) "no round trip at connect" 0
+    (Uio.Transport.counters tr).Uio.Transport.round_trips;
+  ignore (okr (Uio.Client.create_log client "/first"));
+  Alcotest.(check int) "one trip per request" 1
+    (Uio.Transport.counters tr).Uio.Transport.round_trips
 
 let test_typed_errors_cross_the_wire () =
   let _f, _rpc, client, _tr = rpc_fixture () in
@@ -196,18 +201,10 @@ let test_typed_errors_cross_the_wire () =
   | Error e -> Alcotest.failf "expected No_such_log, got %s" (Clio.Errors.to_string e)
   | Ok _ -> Alcotest.fail "must fail");
   ignore (okr (Uio.Client.create_log client "/dup"));
-  (match Uio.Client.create_log client "/dup" with
+  match Uio.Client.create_log client "/dup" with
   | Error (Clio.Errors.Log_exists _) -> ()
   | Error e -> Alcotest.failf "expected Log_exists, got %s" (Clio.Errors.to_string e)
-  | Ok _ -> Alcotest.fail "duplicate create must fail");
-  (* A v1 session gets the same failures as opaque strings. *)
-  let _f1, _rpc1, client1, _tr1 = rpc_fixture ~max_version:1 () in
-  match Uio.Client.resolve client1 "/missing" with
-  | Error (Clio.Errors.Remote msg) ->
-    Alcotest.(check bool) "v1 error mentions the path" true
-      (String.length msg > 0)
-  | Error e -> Alcotest.failf "expected Remote, got %s" (Clio.Errors.to_string e)
-  | Ok _ -> Alcotest.fail "must fail"
+  | Ok _ -> Alcotest.fail "duplicate create must fail"
 
 (* ----------------------------- end to end ----------------------------- *)
 
@@ -401,7 +398,6 @@ let test_stale_continuation_token () =
   for i = 0 to 5 do
     ignore (ok (Clio.Server.append f.srv ~log (string_of_int i)))
   done;
-  ignore (h (Uio.Message.Hello { version = 2 }));
   let cid =
     match h (Uio.Message.Open_cursor { log; whence = Uio.Message.From_start }) with
     | Uio.Message.R_id id -> id
@@ -415,7 +411,7 @@ let test_stale_continuation_token () =
     Alcotest.(check int) "two entries" 2 (List.length entries)
   | _ -> Alcotest.fail "first chunk failed");
   (match chunk 0 with
-  | Uio.Message.R_error_t Clio.Errors.Cursor_expired -> ()
+  | Uio.Message.R_error Clio.Errors.Cursor_expired -> ()
   | _ -> Alcotest.fail "replayed token must be refused");
   (match chunk 1 with
   | Uio.Message.R_entries { seq = 2; _ } -> ()
@@ -423,7 +419,7 @@ let test_stale_continuation_token () =
   match
     h (Uio.Message.Next_chunk { Uio.Message.cursor = 9999; seq = 0; max_entries = 1; max_bytes = 1 })
   with
-  | Uio.Message.R_error_t Clio.Errors.Cursor_expired -> ()
+  | Uio.Message.R_error Clio.Errors.Cursor_expired -> ()
   | _ -> Alcotest.fail "unknown cursor must be Cursor_expired"
 
 (* ------------------------- cursor hygiene ------------------------- *)
@@ -512,14 +508,15 @@ let test_dedup_replays_lost_ack () =
      same timestamp. *)
   let f = make_fixture () in
   let rpc = Uio.Rpc_server.create f.srv in
-  ignore (Uio.Rpc_server.handle rpc (Uio.Message.encode_request (Uio.Message.Hello { version = 3 })));
   let log = ok (Clio.Server.create_log f.srv "/dedup") in
   let keyed =
     Uio.Message.encode_request
       (Uio.Message.Keyed
          {
            key = 42L;
-           req = Uio.Message.Append { log; extra_members = []; force = true; data = "once" };
+           req =
+             Uio.Message.Append_batch
+               { force = true; items = [ { Uio.Message.log; extra_members = []; data = "once" } ] };
          })
   in
   let r1 = Uio.Rpc_server.handle rpc keyed in
@@ -533,7 +530,9 @@ let test_dedup_replays_lost_ack () =
       (Uio.Message.Keyed
          {
            key = 43L;
-           req = Uio.Message.Append { log; extra_members = []; force = true; data = "twice" };
+           req =
+             Uio.Message.Append_batch
+               { force = true; items = [ { Uio.Message.log; extra_members = []; data = "twice" } ] };
          })
   in
   ignore (Uio.Rpc_server.handle rpc keyed2);
@@ -544,12 +543,16 @@ let test_dedup_window_eviction () =
      key re-runs the operation (the window is a bound, not a promise). *)
   let f = make_fixture () in
   let rpc = Uio.Rpc_server.create ~dedup_window:2 f.srv in
-  ignore (Uio.Rpc_server.handle rpc (Uio.Message.encode_request (Uio.Message.Hello { version = 3 })));
   let log = ok (Clio.Server.create_log f.srv "/win") in
   let keyed k data =
     Uio.Message.encode_request
       (Uio.Message.Keyed
-         { key = k; req = Uio.Message.Append { log; extra_members = []; force = false; data } })
+         {
+           key = k;
+           req =
+             Uio.Message.Append_batch
+               { force = false; items = [ { Uio.Message.log; extra_members = []; data } ] };
+         })
   in
   ignore (Uio.Rpc_server.handle rpc (keyed 1L "a"));
   ignore (Uio.Rpc_server.handle rpc (keyed 2L "b"));
@@ -562,10 +565,10 @@ let test_dedup_window_eviction () =
 
 let test_fold_round_trips () =
   (* 1000 entries: the chunked fold costs ceil(1000/128) = 8 reads plus the
-     open/close bracket, not the V-era 1000+ — and a v1 session still gets
-     the right answer, one entry per trip. *)
+     open/close bracket, not the V-era 1000+ — and a fold at chunk=1 still
+     gets the right answer, one entry per trip. *)
   let n = 1000 in
-  let _f, _rpc, client, tr = rpc_fixture () in
+  let f, _rpc, client, tr = rpc_fixture () in
   let log = okr (Uio.Client.create_log client "/bulk") in
   let batch = 250 in
   for b = 0 to (n / batch) - 1 do
@@ -585,21 +588,18 @@ let test_fold_round_trips () =
     (Printf.sprintf "fold costs <= ceil(%d/%d)+2 trips (got %d)" n chunk d.Uio.Transport.round_trips)
     true
     (d.Uio.Transport.round_trips <= ceil_chunks + 2);
-  (* Same server, v1 session: correct but one entry per round trip. *)
-  let srv_payloads = all_payloads _f.srv ~log in
-  let rpc1 = Uio.Rpc_server.create _f.srv in
-  let tr1 = Uio.Transport.local ~clock:_f.clock (Uio.Rpc_server.handle rpc1) in
-  let client1 = Uio.Client.connect ~max_version:1 tr1 in
-  let before = Uio.Transport.counters tr1 in
-  let v1_payloads =
+  (* Same session at chunk=1: correct but one entry per round trip. *)
+  let srv_payloads = all_payloads f.srv ~log in
+  let before = Uio.Transport.counters tr in
+  let single_payloads =
     List.rev
-      (okr (Uio.Client.fold_entries client1 ~log ~init:[] (fun acc e ->
+      (okr (Uio.Client.fold_entries ~chunk_entries:1 client ~log ~init:[] (fun acc e ->
            e.Uio.Message.payload :: acc)))
   in
-  let d1 = Uio.Transport.diff ~after:(Uio.Transport.counters tr1) ~before in
-  Alcotest.(check bool) "v1 fold is per-entry" true (d1.Uio.Transport.round_trips > n);
-  Alcotest.(check (list string)) "v1 and server agree" srv_payloads v1_payloads;
-  Alcotest.(check bool) "v2 is >=10x fewer trips" true
+  let d1 = Uio.Transport.diff ~after:(Uio.Transport.counters tr) ~before in
+  Alcotest.(check bool) "chunk=1 fold is per-entry" true (d1.Uio.Transport.round_trips > n);
+  Alcotest.(check (list string)) "chunk=1 and server agree" srv_payloads single_payloads;
+  Alcotest.(check bool) "default chunks are >=10x fewer trips" true
     (d1.Uio.Transport.round_trips >= 10 * d.Uio.Transport.round_trips)
 
 (* ------------------------ batch = singles bytes ------------------------ *)
@@ -677,9 +677,9 @@ let () =
           Alcotest.test_case "typed errors roundtrip" `Quick errors_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick codec_rejects_garbage;
         ] );
-      ( "protocol-v2",
+      ( "protocol",
         [
-          Alcotest.test_case "version negotiation" `Quick test_version_negotiation;
+          Alcotest.test_case "connect is free" `Quick test_connect_is_free;
           Alcotest.test_case "typed errors" `Quick test_typed_errors_cross_the_wire;
           Alcotest.test_case "append_batch" `Quick test_append_batch_basic;
           Alcotest.test_case "group commit" `Quick test_append_batch_group_commit;
