@@ -1,8 +1,10 @@
 (* Read-path overhaul proof: cold vs warm locate curves (the locate memo
-   must drive repeated descents to zero device reads) and sequential-scan
+   must drive repeated descents to zero device reads), sequential-scan
    throughput with batched read-ahead on the timed device (fewer seeks for
-   the same blocks). Writes BENCH_read.json; CI asserts warm < cold device
-   reads and that the read-ahead run issues fewer seeks. *)
+   the same blocks), and probe counts of the time search on a store whose
+   entries fragment. Writes BENCH_read.json; CI asserts warm < cold device
+   reads, that the read-ahead run issues fewer seeks, and that no seek
+   probes more than fanout x levels blocks. *)
 
 let dev_reads_of_fixture (f : Util.fixture) =
   List.fold_left
@@ -179,9 +181,97 @@ let scan_rows () =
         ])
     runs
 
+(* ------------------------ time search on fragments ------------------------ *)
+
+(* Entries of 100-400 B in 256 B blocks: most blocks open with a continuation
+   of the entry before, so they are keyed by the first entry that starts in
+   them rather than by record 0. Each seek starts with the block cache and
+   memo dropped, so a probe is a device read unless the seek revisits a
+   block. *)
+let seek_row ~entries =
+  let f = Util.make_fixture ~capacity:((entries * 2) + 256) ~cache_blocks:64 () in
+  let srv = f.Util.srv in
+  let log = Util.ok (Clio.Server.ensure_log srv "/fragmented") in
+  let stamps =
+    Array.init entries (fun i ->
+        Sim.Clock.advance f.Util.clock 100L;
+        let len = 100 + (i * 7919 mod 301) in
+        let payload = Printf.sprintf "%05d" i ^ String.make (len - 5) 'f' in
+        Option.get (Util.ok (Clio.Server.append srv ~log payload)))
+  in
+  ignore (Util.ok (Clio.Server.force srv));
+  let st = Clio.Server.state srv in
+  let v = Util.ok (Clio.State.active st) in
+  let blocks = Clio.Vol.written_limit v - 1 in
+  let opens = ref 0 in
+  for b = 1 to blocks do
+    match Clio.Vol.view_block v b with
+    | Clio.Vol.Records recs when Array.length recs > 0 ->
+      if not (Clio.Header.is_start recs.(0).Clio.Block_format.header) then incr opens
+    | _ -> ()
+  done;
+  let seeks = 16 in
+  let probes = ref 0 and max_probes = ref 0 and reads = ref 0 in
+  for k = 0 to seeks - 1 do
+    let i = (k * entries / seeks) + (entries / (2 * seeks)) in
+    Util.drop_caches srv;
+    let p0 = (Clio.Server.stats srv).Clio.Stats.time_probe_reads in
+    let r0 = dev_reads_of_fixture f in
+    ignore (Util.ok (Clio.Time_index.seek st stamps.(i)));
+    let p = (Clio.Server.stats srv).Clio.Stats.time_probe_reads - p0 in
+    probes := !probes + p;
+    max_probes := max !max_probes p;
+    reads := !reads + (dev_reads_of_fixture f - r0);
+    let e = Option.get (Util.ok (Clio.Server.entry_at_or_after srv ~log stamps.(i))) in
+    assert (String.sub e.Clio.Reader.payload 0 5 = Printf.sprintf "%05d" i)
+  done;
+  ( entries,
+    blocks,
+    Clio.Vol.fanout v,
+    Clio.Vol.levels v,
+    float_of_int !probes /. float_of_int seeks,
+    !max_probes,
+    float_of_int !reads /. float_of_int seeks,
+    float_of_int !opens /. float_of_int (max 1 blocks) )
+
+let seek_rows () =
+  Util.subsection "time search on a fragmented store: probes per cold seek";
+  let sizes = if Util.quick () then [ 1_000; 8_000 ] else [ 8_000; 32_000 ] in
+  let rows = List.map (fun entries -> seek_row ~entries) sizes in
+  let columns =
+    [ "entries"; "blocks"; "fanout x levels"; "probes/seek"; "max probes"; "dev reads/seek";
+      "cont. share" ]
+  in
+  Util.table ~columns
+    (List.map
+       (fun (n, b, fo, lv, p, mp, r, c) ->
+         [ string_of_int n; string_of_int b; Printf.sprintf "%d x %d" fo lv;
+           Printf.sprintf "%.1f" p; string_of_int mp; Printf.sprintf "%.1f" r;
+           Printf.sprintf "%.2f" c ])
+       rows);
+  print_endline
+    "  (every block holding an entry start is keyed by that entry's timestamp,\n\
+    \   so each probe reads one block even when most blocks open mid-entry)";
+  List.map
+    (fun (n, b, fo, lv, p, mp, r, c) ->
+      Obs.Json.Obj
+        [
+          ("phase", Obs.Json.Str "seek");
+          ("entries", Obs.Json.Int n);
+          ("blocks", Obs.Json.Int b);
+          ("fanout", Obs.Json.Int fo);
+          ("levels", Obs.Json.Int lv);
+          ("probe_reads_per_seek", Obs.Json.Float p);
+          ("max_probe_reads", Obs.Json.Int mp);
+          ("device_reads_per_seek", Obs.Json.Float r);
+          ("continuation_share", Obs.Json.Float c);
+        ])
+    rows
+
 let run () =
   Util.section
-    "READ PATH - segmented cache, locate memoization, batched read-ahead";
+    "READ PATH - segmented cache, locate memoization, batched read-ahead, time search";
   let srv, locate_json = locate_rows () in
   let scan_json = scan_rows () in
-  Util.emit_bench_json ~name:"read" ~rows:(locate_json @ scan_json) srv
+  let seek_json = seek_rows () in
+  Util.emit_bench_json ~name:"read" ~rows:(locate_json @ scan_json @ seek_json) srv

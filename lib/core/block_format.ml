@@ -71,7 +71,9 @@ let parse block =
   | Corrupt -> Error (Errors.Bad_record "block is corrupt")
 
 let first_timestamp records =
-  if Array.length records = 0 then None else records.(0).header.Header.timestamp
+  match Array.find_opt (fun r -> Header.is_start r.header) records with
+  | Some r -> r.header.Header.timestamp
+  | None -> None
 
 module Builder = struct
   type t = {
@@ -79,15 +81,17 @@ module Builder = struct
     mutable recs : record list;  (* newest first *)
     mutable count : int;
     mutable data_bytes : int;
+    mutable has_start : bool;
   }
 
   let create ~block_size =
     assert (block_size > trailer_bytes + index_entry_bytes + 16);
-    { block_size; recs = []; count = 0; data_bytes = 0 }
+    { block_size; recs = []; count = 0; data_bytes = 0; has_start = false }
 
   let block_size t = t.block_size
   let count t = t.count
   let is_empty t = t.count = 0
+  let has_start t = t.has_start
   let data_bytes t = t.data_bytes
 
   let used t = t.data_bytes + (index_entry_bytes * t.count) + trailer_bytes
@@ -104,6 +108,7 @@ module Builder = struct
       t.recs <- r :: t.recs;
       t.count <- t.count + 1;
       t.data_bytes <- t.data_bytes + footprint;
+      if Header.is_start header then t.has_start <- true;
       Ok ()
     end
 
@@ -140,7 +145,8 @@ module Builder = struct
   let reset t =
     t.recs <- [];
     t.count <- 0;
-    t.data_bytes <- 0
+    t.data_bytes <- 0;
+    t.has_start <- false
 
   let load t records =
     if not (is_empty t) then Error (Errors.Bad_record "builder not empty")

@@ -43,8 +43,13 @@ val is_forced : bytes -> bool
     of which mark a durability point recovery may rely on. *)
 
 val first_timestamp : record array -> int64 option
-(** Timestamp of record 0 — mandatory on every written block, the anchor of
-    the time search (section 2.1). *)
+(** The block's time-search key (section 2.1): the timestamp of the first
+    entry that {e starts} in the block, i.e. its first start record. A
+    leading continuation belongs to an entry begun in an earlier block, so
+    it is skipped. The writer stamps every block's first start record, so
+    [None] means the block holds no entry start (it is one fragment of a
+    larger entry) or breaks that rule. Timestamps increase in write order,
+    so keys are monotone across blocks. *)
 
 (** Accumulates records for the block being written (the in-memory tail). *)
 module Builder : sig
@@ -54,6 +59,9 @@ module Builder : sig
   val block_size : t -> int
   val count : t -> int
   val is_empty : t -> bool
+
+  val has_start : t -> bool
+  (** Whether a start record (not a continuation) has been staged. *)
 
   val free_bytes : t -> int
   (** Bytes available for the next record's header + payload (the 2-byte

@@ -61,17 +61,18 @@ let scan_blocks st acc vi (v : Vol.t) =
     | Vol.Records recs ->
       acc.valid_blocks <- acc.valid_blocks + 1;
       if Array.length recs > 0 then begin
-        let first = recs.(0) in
-        (match first.Block_format.header.Header.timestamp with
+        (* The time search's key, under the one definition it uses. A block
+           holding no start record (one fragment of a larger entry) has no
+           key; one whose first start record lacks a timestamp breaks the
+           mandatory-timestamp rule. *)
+        (match Block_format.first_timestamp recs with
         | Some ts ->
           if Int64.compare ts !last_ts < 0 then
-            error acc "volume %d block %d: first timestamp regresses" vi b;
+            error acc "volume %d block %d: block key regresses" vi b;
           last_ts := ts
         | None ->
-          (* Continuation records legitimately have no timestamp; a start
-             record without one violates the mandatory-first-timestamp
-             rule. *)
-          if Header.is_start first.Block_format.header then
+          let is_start (r : Block_format.record) = Header.is_start r.Block_format.header in
+          if Array.exists is_start recs then
             error acc "volume %d block %d: first start record lacks a timestamp" vi b);
         Array.iter
           (fun (r : Block_format.record) ->

@@ -10,8 +10,9 @@
       index and chain links;
     - every other written block classifies as valid log data or cleanly
       invalidated — corrupt blocks are reported, not fatal;
-    - the first record of every valid block carries a timestamp;
-    - first-block timestamps are nondecreasing in device order;
+    - the first start record of every valid block carries a timestamp;
+    - block keys ({!Block_format.first_timestamp}, the time search's key)
+      are nondecreasing in device order;
     - every entry reassembles (fragment chains resolve), except a possible
       truncated in-flight entry at the very end;
     - every log-file id appearing in a record exists in the catalog;

@@ -1,7 +1,8 @@
 let ( let* ) = Errors.( let* )
 
-(* First timestamp of block [idx], walking forward past blocks that cannot
-   answer (invalidated, corrupt, or starting with a continuation record).
+(* Key of block [idx] (its first entry start's timestamp), walking forward
+   past blocks that cannot answer: invalidated, corrupt, or holding no entry
+   start (one fragment of a larger entry).
    Every probe is counted: these are the reads Table 1's search performs. *)
 let first_ts_resolved st v ~limit idx =
   let rec go i =
@@ -13,7 +14,7 @@ let first_ts_resolved st v ~limit idx =
   in
   go idx
 
-(* Largest block in [1, limit) whose first timestamp is <= ts, by N-ary
+(* Largest block in [1, limit) whose key is <= ts, by N-ary
    descent probing multiples of N^(level-1) — the entrymap block positions. *)
 let descend_volume st v ts =
   let limit = Vol.written_limit v in

@@ -8,13 +8,19 @@
     are the N^l multiples, which are exactly the blocks a reader is likely to
     have cached already.
 
-    The server's timestamps are strictly increasing in write order, so
-    first-timestamps are monotone across blocks and across volumes. *)
+    A block's key is the timestamp of the first entry that {e starts} in it
+    ({!Block_format.first_timestamp}). A leading continuation belongs to an
+    entry begun in an earlier block, so it is skipped rather than leaving
+    the block unkeyed. The server's timestamps are strictly increasing in
+    write order, so keys are monotone across blocks and across volumes. A
+    probe walks forward only past blocks with no key (invalidated, corrupt,
+    or holding no entry start), so a seek stays within about fanout × levels
+    probes even when most blocks open with a continuation. *)
 
 val seek : State.t -> int64 -> (Assemble.position, Errors.t) result
 (** [seek st ts] returns a block-resolution position [p] such that every
     entry with timestamp ≥ [ts] starts at or after [p], and the block at [p]
-    is the last one whose first timestamp is ≤ [ts] (so scanning forward
+    is the last one whose key is ≤ [ts] (so scanning forward
     from [p] finds the boundary exactly). If [ts] precedes everything, [p]
     is the start of the sequence. *)
 

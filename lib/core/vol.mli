@@ -55,4 +55,5 @@ val view_block : t -> int -> view
     log data); the open tail's index is served from the builder. *)
 
 val first_timestamp : t -> int -> int64 option
-(** Timestamp of the first record of block [idx], if the block is valid. *)
+(** Time-search key of block [idx] ({!Block_format.first_timestamp}), if
+    the block is valid and holds an entry start. *)

@@ -96,12 +96,14 @@ and put_bytes st ~first ~continues_after payload : (unit, Errors.t) result =
   let rec put offset chain hdr =
     let* v = State.active st in
     let* () = open_tail st v in
-    (* The first record of a block must carry a timestamp (section 2.1) —
-       upgrade a plain start header in that position. Continuations cannot
-       carry one; the time search tolerates the gap. *)
+    (* The first entry that starts in a block must carry a timestamp
+       (section 2.1): it is the block's time-search key
+       ({!Block_format.first_timestamp}). Upgrade a plain start header staged
+       into a block that holds no start yet — whether the block is empty or
+       opens with a continuation, which cannot carry a timestamp. *)
     let hdr =
       if
-        Block_format.Builder.is_empty v.tail
+        (not (Block_format.Builder.has_start v.tail))
         && Header.is_start hdr
         && hdr.Header.timestamp = None
       then Header.make ~timestamp:(State.fresh_ts st) hdr.Header.logfile

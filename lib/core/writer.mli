@@ -3,7 +3,8 @@
     Responsibilities (sections 2.1–2.3):
     - pack entry records into the in-memory tail block, fragmenting entries
       that overflow a block (continuation records);
-    - guarantee the first record of every block carries a timestamp;
+    - guarantee the first entry that starts in each block carries a
+      timestamp (the block's time-search key);
     - emit entrymap log entries when a block opens at an N^l boundary;
     - flush full blocks to the device, skipping and logging bad blocks
       (invalidate + bad-block log, section 2.3.2);

@@ -1,11 +1,12 @@
 (* The paper's minimal header mode (section 2.2): when per-entry timestamps
    are disabled, entries carry the 4-byte header (2 bytes on-record + 2 in
-   the block index) — except the mandatory first-in-block timestamp. *)
+   the block index) — except the mandatory timestamp on the first entry that
+   starts in each block. *)
 
 open Testkit
 
-let fixture () =
-  make_fixture ~config:{ Clio.Config.default with timestamp_all = false } ()
+let fixture ?capacity () =
+  make_fixture ~config:{ Clio.Config.default with timestamp_all = false } ?capacity ()
 
 let test_roundtrip () =
   let f = fixture () in
@@ -129,6 +130,36 @@ let test_fragmentation_minimal_mode () =
   ignore (ok (Clio.Server.force f.srv));
   check_payloads "fragmented entry intact" [ payload ] (all_payloads f.srv ~log)
 
+(* With entries that fragment, most blocks open with a continuation. The
+   first entry that starts in such a block must still be stamped: it is the
+   block's time-search key. Unkeyed, every probe of the time search walks
+   forward to the next block that happens to open on an entry boundary. *)
+let test_fragmented_blocks_keyed () =
+  let f = fixture ~capacity:8192 () in
+  let _log, stamps = build_fragmented_log f in
+  Alcotest.(check bool) "most blocks open with a continuation" true
+    (continuation_share f.srv > 0.5);
+  let v = ok (Clio.State.active (Clio.Server.state f.srv)) in
+  for b = 1 to Clio.Vol.written_limit v - 1 do
+    match Clio.Vol.view_block v b with
+    | Clio.Vol.Records recs
+      when Array.exists (fun r -> Clio.Header.is_start r.Clio.Block_format.header) recs ->
+      Alcotest.(check bool) (Printf.sprintf "block %d keyed" b) true
+        (Clio.Block_format.first_timestamp recs <> None)
+    | _ -> ()
+  done;
+  let report = ok (Clio.Server.fsck f.srv) in
+  Alcotest.(check (list string)) "fsck errors" [] report.Clio.Fsck.errors;
+  let bound = seek_probe_bound f.srv in
+  List.iter
+    (fun i ->
+      let pos, probes = seek_counting f.srv stamps.(i) in
+      Alcotest.(check bool)
+        (Printf.sprintf "seek to entry %d: probes %d <= fanout x levels %d" i probes bound)
+        true (probes <= bound);
+      check_seek_resolution f.srv pos stamps.(i))
+    [ 100; 1500; 2900 ]
+
 let () =
   run "minimal_headers"
     [
@@ -142,5 +173,6 @@ let () =
           Alcotest.test_case "time search block resolution" `Quick test_time_search_block_resolution;
           Alcotest.test_case "recovery" `Quick test_recovery_minimal_mode;
           Alcotest.test_case "fragmentation" `Quick test_fragmentation_minimal_mode;
+          Alcotest.test_case "fragmented blocks keyed" `Quick test_fragmented_blocks_keyed;
         ] );
     ]

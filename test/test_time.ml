@@ -75,35 +75,44 @@ let test_seek_probe_count_logarithmic () =
   let f = make_fixture ~capacity:8192 () in
   let log, stamps = build_timed_log ~entries:3000 f in
   ignore log;
-  let st = Clio.Server.state f.srv in
-  let before = (Clio.Server.stats f.srv).Clio.Stats.time_probe_reads in
-  ignore (ok (Clio.Time_index.seek st stamps.(1500)));
-  let probes = (Clio.Server.stats f.srv).Clio.Stats.time_probe_reads - before in
-  let v = ok (Clio.State.active st) in
-  let blocks = Clio.Vol.written_limit v in
-  (* N-ary search probes at most fanout * levels + a few, far below b. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "probes %d << blocks %d" probes blocks)
-    true
-    (probes < blocks / 4)
+  let pos, probes = seek_counting f.srv stamps.(1500) in
+  check_seek_resolution f.srv pos stamps.(1500);
+  let bound = seek_probe_bound f.srv in
+  Alcotest.(check bool) (Printf.sprintf "probes %d <= fanout x levels %d" probes bound) true
+    (probes <= bound)
+
+(* Regression: the block key used to be record 0's timestamp, so a block
+   opening with a continuation had none and every probe walked forward block
+   by block to the next entry boundary - a linear search on any store whose
+   entries fragment. Keyed by the first entry that starts in it, each block
+   answers its own probe. *)
+let test_seek_logarithmic_on_fragmented_store () =
+  let f = make_fixture ~capacity:8192 () in
+  let log, stamps = build_fragmented_log f in
+  let share = continuation_share f.srv in
+  Alcotest.(check bool) (Printf.sprintf "%.2f of blocks open with a continuation" share) true
+    (share > 0.5);
+  let bound = seek_probe_bound f.srv in
+  List.iter
+    (fun i ->
+      let pos, probes = seek_counting f.srv stamps.(i) in
+      Alcotest.(check bool)
+        (Printf.sprintf "seek to entry %d: probes %d <= fanout x levels %d" i probes bound)
+        true (probes <= bound);
+      check_seek_resolution f.srv pos stamps.(i);
+      let e = Option.get (ok (Clio.Server.entry_at_or_after f.srv ~log stamps.(i))) in
+      Alcotest.(check string) (Printf.sprintf "entry %d found" i) (Printf.sprintf "%05d" i)
+        (String.sub e.Clio.Reader.payload 0 5))
+    [ 100; 1500; 2900 ]
 
 let test_seek_block_resolution_correct () =
   let f = make_fixture () in
   let log, stamps = build_timed_log f in
   ignore log;
-  let st = Clio.Server.state f.srv in
   List.iter
     (fun i ->
-      let pos = ok (Clio.Time_index.seek st stamps.(i)) in
-      let v = ok (Clio.State.vol st pos.Clio.Assemble.vol) in
-      (* The block's first timestamp must be <= target... *)
-      (match Clio.Vol.first_timestamp v pos.Clio.Assemble.block with
-      | Some t -> Alcotest.(check bool) "first_ts <= target" true (Int64.compare t stamps.(i) <= 0)
-      | None -> ());
-      (* ...and the next block's must be > target (it is the last such). *)
-      match Clio.Vol.first_timestamp v (pos.Clio.Assemble.block + 1) with
-      | Some t -> Alcotest.(check bool) "next block past target" true (Int64.compare t stamps.(i) > 0)
-      | None -> ())
+      let pos = ok (Clio.Time_index.seek (Clio.Server.state f.srv) stamps.(i)) in
+      check_seek_resolution f.srv pos stamps.(i))
     [ 10; 100; 290 ]
 
 let test_entry_id_find () =
@@ -169,6 +178,8 @@ let () =
           Alcotest.test_case "last before" `Quick test_last_before;
           Alcotest.test_case "per-sublog" `Quick test_time_filtering_per_sublog;
           Alcotest.test_case "probe count logarithmic" `Quick test_seek_probe_count_logarithmic;
+          Alcotest.test_case "probe count logarithmic on fragmented store" `Quick
+            test_seek_logarithmic_on_fragmented_store;
           Alcotest.test_case "block resolution" `Quick test_seek_block_resolution_correct;
           Alcotest.test_case "cursor at time" `Quick test_cursor_at_time_bidirectional;
         ] );

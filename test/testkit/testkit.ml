@@ -77,6 +77,70 @@ let drop_caches srv =
 
 let check_payloads = Alcotest.(check (list string))
 
+(** A store whose entries fragment: [entries] entries of 100-400 B in the
+    fixture's blocks (256 B by default), so most blocks open with a
+    continuation of an entry begun in the block before. Each payload starts
+    with its zero-padded index. Returns the log and each entry's timestamp
+    (the append's, else the clock when it was written). *)
+let build_fragmented_log ?(entries = 3000) f =
+  let log = create_log f "/fragmented" in
+  let stamps =
+    Array.init entries (fun i ->
+        Sim.Clock.advance f.clock 100L;
+        let len = 100 + (i * 7919 mod 301) in
+        let payload = Printf.sprintf "%05d" i ^ String.make (len - 5) 'f' in
+        match append f ~log payload with
+        | Some ts -> ts
+        | None -> Sim.Clock.peek f.clock)
+  in
+  ignore (ok (Clio.Server.force f.srv));
+  (log, stamps)
+
+(** Share of the active volume's valid blocks whose record 0 is a
+    continuation. *)
+let continuation_share srv =
+  let v = ok (Clio.State.active (Clio.Server.state srv)) in
+  let opens = ref 0 and blocks = ref 0 in
+  for b = 1 to Clio.Vol.written_limit v - 1 do
+    match Clio.Vol.view_block v b with
+    | Clio.Vol.Records recs when Array.length recs > 0 ->
+      incr blocks;
+      if not (Clio.Header.is_start recs.(0).Clio.Block_format.header) then incr opens
+    | _ -> ()
+  done;
+  float_of_int !opens /. float_of_int (max 1 !blocks)
+
+(** The paper's bound on one time seek: at most [fanout] probes at each of
+    the active volume's [levels]. *)
+let seek_probe_bound srv =
+  let v = ok (Clio.State.active (Clio.Server.state srv)) in
+  Clio.Vol.fanout v * Clio.Vol.levels v
+
+(** [Time_index.seek] plus the probe reads it cost. *)
+let seek_counting srv ts =
+  let probes () = (Clio.Server.stats srv).Clio.Stats.time_probe_reads in
+  let before = probes () in
+  let pos = ok (Clio.Time_index.seek (Clio.Server.state srv) ts) in
+  (pos, probes () - before)
+
+(** Checks [seek]'s block-resolution contract for [target]: the block at
+    [pos] is keyed at or before [target], and the next keyed block after it
+    is keyed after [target]. *)
+let check_seek_resolution srv (pos : Clio.Assemble.position) target =
+  let v = ok (Clio.State.vol (Clio.Server.state srv) pos.Clio.Assemble.vol) in
+  let b = pos.Clio.Assemble.block in
+  (match Clio.Vol.first_timestamp v b with
+  | Some t -> Alcotest.(check bool) (Printf.sprintf "block %d key <= target" b) true (t <= target)
+  | None -> ());
+  let limit = Clio.Vol.written_limit v in
+  let rec next_key i =
+    if i >= limit then None
+    else match Clio.Vol.first_timestamp v i with Some t -> Some t | None -> next_key (i + 1)
+  in
+  match next_key (b + 1) with
+  | Some t -> Alcotest.(check bool) (Printf.sprintf "key after block %d > target" b) true (t > target)
+  | None -> ()
+
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
