@@ -211,25 +211,6 @@ let admin_breaker dir block_size capacity trip reset json =
    act on this invocation's server instance — [status] renders what a
    long-running daemon would report, [promote] exercises the failover path
    (epoch+1, Primary role) against a store recovered from disk. *)
-let repl_json srv =
-  Obs.Json.Obj
-    [
-      ("role", Obs.Json.Str (Clio.State.role_name (Clio.Server.role srv)));
-      ("epoch", Obs.Json.Int (Clio.Server.epoch srv));
-      ("lag_blocks", Obs.Json.Int (Clio.Server.repl_lag_blocks srv));
-      ( "blocks_shipped",
-        Obs.Json.Int (Clio.Server.stats srv).Clio.Stats.repl_blocks_shipped );
-      ( "blocks_applied",
-        Obs.Json.Int (Clio.Server.stats srv).Clio.Stats.repl_blocks_applied );
-      ("tail_ships", Obs.Json.Int (Clio.Server.stats srv).Clio.Stats.repl_tail_ships);
-      ( "tail_applies",
-        Obs.Json.Int (Clio.Server.stats srv).Clio.Stats.repl_tail_applies );
-      ( "catchup_rounds",
-        Obs.Json.Int (Clio.Server.stats srv).Clio.Stats.repl_catchup_rounds );
-      ( "epoch_rejects",
-        Obs.Json.Int (Clio.Server.stats srv).Clio.Stats.repl_epoch_rejects );
-    ]
-
 let repl_print srv =
   let role = Clio.Server.role srv in
   (match role with
@@ -249,14 +230,14 @@ let repl_print srv =
 
 let repl_status dir block_size capacity json =
   let srv = open_store ~dir ~block_size ~capacity in
-  if json then print_endline (Obs.Json.to_string_pretty (repl_json srv))
+  if json then print_endline (Obs.Json.to_string_pretty (Clio.Server.repl_obj srv))
   else repl_print srv
 
 let repl_promote dir block_size capacity json =
   let srv = open_store ~dir ~block_size ~capacity in
   let next = Clio.Server.epoch srv + 1 in
   Clio.Server.set_role srv (Clio.State.Primary { epoch = next });
-  if json then print_endline (Obs.Json.to_string_pretty (repl_json srv))
+  if json then print_endline (Obs.Json.to_string_pretty (Clio.Server.repl_obj srv))
   else Format.printf "promoted: now primary at epoch %d@." next
 
 (* ------------------------------- wiring ------------------------------ *)

@@ -19,7 +19,6 @@ type t = {
   probation : bytes Lru.t;
   protected : bytes Lru.t;
   classify : bytes -> partition;
-  mutable hits : int;
   mutable misses : int;
   mutable meta_hits : int;
   mutable meta_misses : int;
@@ -28,17 +27,9 @@ type t = {
   mutable meta_evictions : int;
   mutable data_evictions : int;
   mutable promotions : int;
-  obs_hits : Obs.Metrics.counter option;
-  obs_misses : Obs.Metrics.counter option;
-  obs_meta_hits : Obs.Metrics.counter option;
-  obs_meta_misses : Obs.Metrics.counter option;
-  obs_data_hits : Obs.Metrics.counter option;
-  obs_data_misses : Obs.Metrics.counter option;
-  obs_evictions : Obs.Metrics.counter option;
 }
 
-let create ?(capacity_blocks = 1024) ?meta_blocks ?(classify = fun _ -> Data) ?metrics inner =
-  let c name = Option.map (fun m -> Obs.Metrics.counter m name) metrics in
+let create ?(capacity_blocks = 1024) ?meta_blocks ?(classify = fun _ -> Data) inner =
   (* The entrymap interior nodes every locate descends through are a small
      fraction of the traffic but the highest-value residents; they get their
      own partition so a data scan can never push them out. The data side is
@@ -56,7 +47,6 @@ let create ?(capacity_blocks = 1024) ?meta_blocks ?(classify = fun _ -> Data) ?m
     probation = Lru.create ~capacity:probation_cap;
     protected = Lru.create ~capacity:protected_cap;
     classify;
-    hits = 0;
     misses = 0;
     meta_hits = 0;
     meta_misses = 0;
@@ -65,36 +55,15 @@ let create ?(capacity_blocks = 1024) ?meta_blocks ?(classify = fun _ -> Data) ?m
     meta_evictions = 0;
     data_evictions = 0;
     promotions = 0;
-    obs_hits = c "cache_hits";
-    obs_misses = c "cache_misses";
-    obs_meta_hits = c "cache_meta_hits";
-    obs_meta_misses = c "cache_meta_misses";
-    obs_data_hits = c "cache_data_hits";
-    obs_data_misses = c "cache_data_misses";
-    obs_evictions = c "cache_evictions";
   }
 
-let bump c = match c with Some c -> Obs.Metrics.incr c | None -> ()
+let count_hit t = function
+  | Meta -> t.meta_hits <- t.meta_hits + 1
+  | Data -> t.data_hits <- t.data_hits + 1
 
-let count_hit t p =
-  t.hits <- t.hits + 1;
-  bump t.obs_hits;
-  match p with
-  | Meta ->
-    t.meta_hits <- t.meta_hits + 1;
-    bump t.obs_meta_hits
-  | Data ->
-    t.data_hits <- t.data_hits + 1;
-    bump t.obs_data_hits
-
-let count_miss_partition t p =
-  match p with
-  | Meta ->
-    t.meta_misses <- t.meta_misses + 1;
-    bump t.obs_meta_misses
-  | Data ->
-    t.data_misses <- t.data_misses + 1;
-    bump t.obs_data_misses
+let count_miss_partition t = function
+  | Meta -> t.meta_misses <- t.meta_misses + 1
+  | Data -> t.data_misses <- t.data_misses + 1
 
 (* Resident lookup with the segmented promotion policy: a probation hit is
    the block's second touch, which moves it to the protected segment; the
@@ -113,9 +82,7 @@ let find_resident t idx =
         (match Lru.add t.protected idx b with
         | Some (k, v) -> (
           match Lru.add t.probation k v with
-          | Some _ ->
-            t.data_evictions <- t.data_evictions + 1;
-            bump t.obs_evictions
+          | Some _ -> t.data_evictions <- t.data_evictions + 1
           | None -> ())
         | None -> ());
         t.promotions <- t.promotions + 1;
@@ -127,15 +94,11 @@ let insert t idx b =
   (match p with
   | Meta -> (
     match Lru.add t.meta idx (Bytes.copy b) with
-    | Some _ ->
-      t.meta_evictions <- t.meta_evictions + 1;
-      bump t.obs_evictions
+    | Some _ -> t.meta_evictions <- t.meta_evictions + 1
     | None -> ())
   | Data -> (
     match Lru.add t.probation idx (Bytes.copy b) with
-    | Some _ ->
-      t.data_evictions <- t.data_evictions + 1;
-      bump t.obs_evictions
+    | Some _ -> t.data_evictions <- t.data_evictions + 1
     | None -> ()));
   p
 
@@ -150,7 +113,6 @@ let read t idx : (bytes, Worm.Block_io.error) result =
     Ok (Bytes.copy b)
   | None -> (
     t.misses <- t.misses + 1;
-    bump t.obs_misses;
     match t.inner.Worm.Block_io.read idx with
     | Ok b ->
       count_miss_partition t (insert t idx b);
@@ -170,7 +132,6 @@ let read_many t idxs : (bytes, Worm.Block_io.error) result list =
           (idx, Some (Ok (Bytes.copy b)))
         | None ->
           t.misses <- t.misses + 1;
-          bump t.obs_misses;
           (idx, None))
       idxs
   in
@@ -216,7 +177,7 @@ let io t : Worm.Block_io.t =
     invalidate = invalidate t;
   }
 
-let hits t = t.hits
+let hits t = t.meta_hits + t.data_hits
 let misses t = t.misses
 let resident t = Lru.length t.meta + Lru.length t.probation + Lru.length t.protected
 
@@ -248,7 +209,6 @@ let drop t =
   Lru.clear t.protected
 
 let reset_counters t =
-  t.hits <- 0;
   t.misses <- 0;
   t.meta_hits <- 0;
   t.meta_misses <- 0;

@@ -44,15 +44,15 @@ val create :
   ?capacity_blocks:int ->
   ?meta_blocks:int ->
   ?classify:(bytes -> partition) ->
-  ?metrics:Obs.Metrics.t ->
   Worm.Block_io.t ->
   t
 (** [capacity_blocks] defaults to 1024 (1 MB of 1 KB blocks) and is split
     between the partitions: [meta_blocks] (default 1/8th) for the meta side,
     the rest for data, itself split evenly between probation and protected.
     [classify] decides a fetched/appended block's partition (default:
-    everything [Data]). When [metrics] is given, per-partition hits, misses
-    and evictions are mirrored into its shared [cache_*] counters. *)
+    everything [Data]). The cache's counters live only here: read them with
+    {!hits}, {!misses} and {!segments} (the [cache] section of
+    {!Server.metrics_json}). *)
 
 val io : t -> Worm.Block_io.t
 (** The caching view. Appended blocks are inserted into the cache on the way
@@ -61,7 +61,12 @@ val io : t -> Worm.Block_io.t
     cache's resident buffer. *)
 
 val hits : t -> int
+(** Resident hits in either partition: [meta_hits + data_hits]. *)
+
 val misses : t -> int
+(** Lookups that went to the device, counted before the read (a failed
+    device read is a miss of no partition). *)
+
 val resident : t -> int
 
 val segments : t -> segment_stats

@@ -3,9 +3,7 @@ type t = {
   fanout : int;
   cache_blocks : int;
   nvram_tail : bool;
-  entrymap_slack : int;
   timestamp_all : bool;
-  trace_ops : bool;
   breaker_threshold : int;
   locate_memo : bool;
   read_ahead_blocks : int;
@@ -18,9 +16,7 @@ let default =
     fanout = 16;
     cache_blocks = 1024;
     nvram_tail = true;
-    entrymap_slack = 4;
     timestamp_all = true;
-    trace_ops = false;
     breaker_threshold = 8;
     locate_memo = true;
     read_ahead_blocks = 8;
@@ -31,7 +27,6 @@ let validate t =
   if t.fanout < 2 then Error (Errors.Bad_record "fanout must be >= 2")
   else if t.fanout > 4096 then Error (Errors.Bad_record "fanout must be <= 4096")
   else if t.block_size < 64 then Error (Errors.Bad_record "block size must be >= 64")
-  else if t.entrymap_slack < 1 then Error (Errors.Bad_record "entrymap slack must be >= 1")
   else if t.cache_blocks < 1 then Error (Errors.Bad_record "cache must hold >= 1 block")
   else if t.read_ahead_blocks < 0 || t.read_ahead_blocks > 1024 then
     Error (Errors.Bad_record "read-ahead must be in [0, 1024] blocks")

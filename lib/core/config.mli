@@ -10,15 +10,9 @@ type t = {
   nvram_tail : bool;
       (** Stage the tail block in battery-backed RAM (section 2.3.1). When
           false, a forced write burns the remainder of the current block. *)
-  entrymap_slack : int;
-      (** How many blocks past a well-known position to scan for a displaced
-          entrymap entry before falling back a level (section 2.3.2). *)
   timestamp_all : bool;
       (** Timestamp every entry (the paper's full 14-byte header), not just
           the mandatory first-entry-per-block ones. *)
-  trace_ops : bool;
-      (** Record a span per operation in {!Obs.Trace} (metrics counters and
-          latency histograms are always on; only span capture is gated). *)
   breaker_threshold : int;
       (** Device append errors tolerated before the {!Breaker} trips the
           server into degraded (read-only) mode; [<= 0] disables tripping.
@@ -36,7 +30,7 @@ type t = {
 }
 
 val default : t
-(** 1 KB blocks, N = 16, 1024-block cache, NVRAM tail on, slack 4,
+(** 1 KB blocks, N = 16, 1024-block cache, NVRAM tail on,
     timestamps on — the configuration of the paper's section 3.2/3.3
     measurements — plus an 8-error breaker budget, locate memoization on,
     and 8-block cursor read-ahead. *)

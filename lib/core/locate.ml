@@ -10,15 +10,18 @@ let view st v idx =
   st.State.stats.Stats.locate_block_reads <- st.State.stats.Stats.locate_block_reads + 1;
   Vol.view_block v idx
 
+(* How many blocks past a well-known position to scan for a displaced
+   entrymap entry before falling back a level (section 2.3.2). *)
+let entrymap_slack = 4
+
 (* Slack-window scan for the entrymap entry posted at [boundary]; also
    reports the block index where it was found so the caller can decide
    whether the result is a settled (memoizable) fact. *)
 let read_map_scan st v ~level ~boundary =
   let expected_base = boundary - Vol.pow_fanout v level in
-  let slack = st.State.config.Config.entrymap_slack in
   let vol = vol_index_of st v in
   let fanout = Vol.fanout v in
-  let stop = min (boundary + slack) (Vol.written_limit v) in
+  let stop = min (boundary + entrymap_slack) (Vol.written_limit v) in
   let rec scan_block idx =
     if idx >= stop then Ok None
     else
@@ -80,8 +83,7 @@ let read_map st v ~level ~boundary =
         Read_memo.store_entry st.State.read_memo ~vol ~level ~boundary ~gen (Some entry);
       Ok (Some entry)
     | Ok None ->
-      let slack = st.State.config.Config.entrymap_slack in
-      if memo_on && boundary + slack <= Vol.device_frontier v then
+      if memo_on && boundary + entrymap_slack <= Vol.device_frontier v then
         Read_memo.store_entry st.State.read_memo ~vol ~level ~boundary ~gen None;
       Ok None
     | Error (Errors.Corrupt_block _) | Error Errors.No_entry -> Ok None

@@ -19,8 +19,9 @@
 val read_map :
   State.t -> Vol.t -> level:int -> boundary:int -> (Entrymap.entry option, Errors.t) result
 (** The entrymap entry due at block [boundary] (covering
-    [\[boundary − N^level, boundary)]), scanning up to [entrymap_slack]
-    blocks forward for a displaced copy. [Ok None] when absent. *)
+    [\[boundary − N^level, boundary)]), scanning up to 4 blocks forward
+    (the slack window of section 2.3.2) for a displaced copy. [Ok None]
+    when absent. *)
 
 val block_contains : State.t -> Vol.t -> log:Ids.logfile -> int -> bool
 (** Ground truth: does block [idx] hold any record belonging to [log]

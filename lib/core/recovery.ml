@@ -215,7 +215,7 @@ let recover ~config ~clock ?nvram ~alloc_volume ~devices () =
   let vols =
     List.map
       (fun (hdr, dev) ->
-        let v = Vol.make ~config ~metrics:st.State.obs.Obs.metrics ~hdr dev in
+        let v = Vol.make ~config ~hdr dev in
         let upper = find_frontier st dev in
         let f = quarantine_garbage st v upper in
         v.Vol.tail_index <- max f 1;

@@ -375,6 +375,22 @@ let device_totals st =
     st.State.vols;
   acc
 
+let repl_obj st =
+  let open Obs.Json in
+  let s = st.State.stats in
+  Obj
+    [
+      ("role", Str (State.role_name st.State.role));
+      ("epoch", Int (State.role_epoch st.State.role));
+      ("lag_blocks", Int st.State.repl_lag_blocks);
+      ("blocks_shipped", Int s.Stats.repl_blocks_shipped);
+      ("blocks_applied", Int s.Stats.repl_blocks_applied);
+      ("tail_ships", Int s.Stats.repl_tail_ships);
+      ("tail_applies", Int s.Stats.repl_tail_applies);
+      ("catchup_rounds", Int s.Stats.repl_catchup_rounds);
+      ("epoch_rejects", Int s.Stats.repl_epoch_rejects);
+    ]
+
 (* One schema for every export path ([clio_cli stats --json], BENCH_*.json,
    the RPC metrics call): the registry's counters/gauges/histograms plus the
    derived cache, device and volume sections. *)
@@ -420,19 +436,7 @@ let metrics_obj st =
           ( "volumes",
             Obj [ ("count", Int (nvols st)); ("blocks_used", Int (volume_blocks_used st)) ] );
           ("breaker", Breaker.to_json st.State.breaker);
-          ( "repl",
-            Obj
-              [
-                ("role", Str (State.role_name st.State.role));
-                ("epoch", Int (State.role_epoch st.State.role));
-                ("lag_blocks", Int st.State.repl_lag_blocks);
-                ("blocks_shipped", Int st.State.stats.Stats.repl_blocks_shipped);
-                ("blocks_applied", Int st.State.stats.Stats.repl_blocks_applied);
-                ("tail_ships", Int st.State.stats.Stats.repl_tail_ships);
-                ("tail_applies", Int st.State.stats.Stats.repl_tail_applies);
-                ("catchup_rounds", Int st.State.stats.Stats.repl_catchup_rounds);
-                ("epoch_rejects", Int st.State.stats.Stats.repl_epoch_rejects);
-              ] );
+          ("repl", repl_obj st);
         ])
   | other -> other
 

@@ -209,9 +209,10 @@ val state : t -> State.t
 (** {1 Observability}
 
     Every server carries an {!Obs.t}: latency histograms on the hot paths
-    (append/force/flush/locate/read/time-search/recover), cache and device
+    (append/force/flush/locate/read/time-search/recover), breaker and RPC
     counters, and an off-by-default span tracer clocked by the server's
-    {!Sim.Clock}. Enable tracing via {!Config.trace_ops} or {!set_tracing}. *)
+    {!Sim.Clock}. Enable tracing with {!set_tracing}. Cache and device
+    counts stay in their own components; {!metrics_obj} joins them in. *)
 
 val obs : t -> Obs.t
 val metrics : t -> Obs.Metrics.t
@@ -220,12 +221,17 @@ val segment_totals : t -> Blockcache.Cache.segment_stats
 (** Per-partition cache counters (meta / probation / protected) summed over
     all mounted volumes. *)
 
+val repl_obj : t -> Obs.Json.t
+(** The ["repl"] section of {!metrics_obj}: role, epoch, lag and the
+    shipping counters. [clio repl status --json] prints exactly this. *)
+
 val metrics_obj : t -> Obs.Json.t
 (** The full metrics document: the registry's counters/gauges/histograms
     plus ["stats"] (the {!Stats.t} fields), ["cache"] (hit/miss/resident
     and per-partition counters summed over volumes), ["read_memo"]
     (memoized-fact residency), ["device"] (op counts summed over volumes),
-    ["volumes"] and ["breaker"] (degraded-mode state). [clio_cli stats
+    ["volumes"], ["breaker"] (degraded-mode state) and ["repl"]
+    ({!repl_obj}). Each count appears in one section only. [clio_cli stats
     --json] and the BENCH_*.json files embed exactly this object. *)
 
 val metrics_json : t -> string

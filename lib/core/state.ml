@@ -56,7 +56,6 @@ type t = {
 
 let make ~config ~clock ?nvram ~alloc_volume () =
   let obs = Obs.create ~now:(fun () -> Int64.to_int (Sim.Clock.peek clock)) () in
-  if config.Config.trace_ops then Obs.Trace.set_enabled obs.Obs.trace true;
   let m = obs.Obs.metrics in
   let probes =
     {

@@ -21,10 +21,10 @@ let classify_block b =
   | Ok (h, _) when Ids.is_internal h.Header.logfile -> Blockcache.Cache.Meta
   | Ok _ | Error _ -> Blockcache.Cache.Data
 
-let make ~config ?metrics ~hdr dev =
+let make ~config ~hdr dev =
   let cache =
     Blockcache.Cache.create ~capacity_blocks:config.Config.cache_blocks
-      ~classify:classify_block ?metrics dev
+      ~classify:classify_block dev
   in
   let cache_io = Blockcache.Cache.io cache in
   (* Invalidation is the only way a settled block's contents can change on

@@ -25,11 +25,10 @@ type t = {
           are stamped with this and lazily dropped when it moves. *)
 }
 
-val make :
-  config:Config.t -> ?metrics:Obs.Metrics.t -> hdr:Volume.header -> Worm.Block_io.t -> t
-(** Wraps a device whose header block is already written/validated. [metrics]
-    is forwarded to the block cache so per-server hit/miss counters aggregate
-    across all volumes of the sequence. *)
+val make : config:Config.t -> hdr:Volume.header -> Worm.Block_io.t -> t
+(** Wraps a device whose header block is already written/validated. Each
+    volume has its own block cache; {!Server.metrics_json} sums their
+    counters across the sequence. *)
 
 val levels : t -> int
 val fanout : t -> int

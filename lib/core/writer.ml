@@ -229,7 +229,7 @@ and roll_volume st : (unit, Errors.t) result =
   let* hdr_idx = Errors.of_dev (dev.Worm.Block_io.append (Volume.encode_header hdr)) in
   if hdr_idx <> 0 then Error (Errors.Bad_record "successor volume not blank")
   else begin
-    let v = Vol.make ~config:st.State.config ~metrics:st.State.obs.Obs.metrics ~hdr dev in
+    let v = Vol.make ~config:st.State.config ~hdr dev in
     v.tail_index <- 1;
     st.State.vols <- Array.append st.State.vols [| v |];
     snapshot_catalog st
@@ -308,7 +308,7 @@ let init_sequence st : (unit, Errors.t) result =
     let* hdr_idx = Errors.of_dev (dev.Worm.Block_io.append (Volume.encode_header hdr)) in
     if hdr_idx <> 0 then Error (Errors.Bad_record "first volume not blank")
     else begin
-      let v = Vol.make ~config:st.State.config ~metrics:st.State.obs.Obs.metrics ~hdr dev in
+      let v = Vol.make ~config:st.State.config ~hdr dev in
       v.tail_index <- 1;
       st.State.vols <- [| v |];
       Ok ()

@@ -25,10 +25,6 @@ type t = {
   mutable redirect_hint : string option;
       (** primary address from the last [Not_primary] refusal, if any *)
   stats : stats;
-  m_retries : Obs.Metrics.counter option;
-  m_timeouts : Obs.Metrics.counter option;
-  m_disconnects : Obs.Metrics.counter option;
-  m_deadline : Obs.Metrics.counter option;
 }
 
 type cursor = { client : t; id : int; mutable seq : int }
@@ -36,8 +32,6 @@ type cursor = { client : t; id : int; mutable seq : int }
 let ( let* ) = Clio.Errors.( let* )
 
 let protocol_error = Error (Clio.Errors.Remote "protocol error: unexpected response shape")
-
-let bump cm = Option.iter Obs.Metrics.incr cm
 
 let fresh_key t =
   let k = t.next_key in
@@ -48,11 +42,9 @@ let call_once t wire =
   match Transport.call t.transport wire with
   | exception Transport.Timeout ->
     t.stats.timeouts <- t.stats.timeouts + 1;
-    bump t.m_timeouts;
     Error Clio.Errors.Timeout
   | exception Transport.Disconnected ->
     t.stats.disconnects <- t.stats.disconnects + 1;
-    bump t.m_disconnects;
     Error Clio.Errors.Disconnected
   | raw -> (
     match Message.decode_response raw with
@@ -88,12 +80,10 @@ let call t req =
       let elapsed = Int64.sub (Sim.Clock.peek clock) start in
       if Int64.compare elapsed p.deadline_us >= 0 then begin
         t.stats.deadline_exceeded <- t.stats.deadline_exceeded + 1;
-        bump t.m_deadline;
         r
       end
       else begin
         t.stats.retries <- t.stats.retries + 1;
-        bump t.m_retries;
         let b = backoff_us p ~attempt in
         let half = Int64.div b 2L in
         let jitter = Int64.of_int (Sim.Rng.int t.rng (Int64.to_int half + 1)) in
@@ -105,8 +95,7 @@ let call t req =
   go 0
 
 (* No round trip: the first request is the first message on the wire. *)
-let connect ?(retry = default_retry) ?(rng = Sim.Rng.create 0xC11E2717L) ?metrics transport =
-  let mc name = Option.map (fun m -> Obs.Metrics.counter m name) metrics in
+let connect ?(retry = default_retry) ?(rng = Sim.Rng.create 0xC11E2717L) transport =
   {
     transport;
     retry;
@@ -114,10 +103,6 @@ let connect ?(retry = default_retry) ?(rng = Sim.Rng.create 0xC11E2717L) ?metric
     next_key = Sim.Rng.next rng;
     redirect_hint = None;
     stats = { retries = 0; timeouts = 0; disconnects = 0; deadline_exceeded = 0 };
-    m_retries = mc "client_retries";
-    m_timeouts = mc "client_timeouts";
-    m_disconnects = mc "client_disconnects";
-    m_deadline = mc "client_deadline_exceeded";
   }
 
 let stats t = t.stats

@@ -46,11 +46,11 @@ type stats = {
   mutable deadline_exceeded : int;  (** calls abandoned on the deadline *)
 }
 
-val connect : ?retry:retry_policy -> ?rng:Sim.Rng.t -> ?metrics:Obs.Metrics.t -> Transport.t -> t
+val connect : ?retry:retry_policy -> ?rng:Sim.Rng.t -> Transport.t -> t
 (** Bind a client to a transport; no round trip is made. [retry] (default
     {!default_retry}) governs resends; [rng] drives backoff jitter and seeds
-    the idempotency keys; with [metrics], the {!stats} events also bump
-    [client_*] counters in that registry. *)
+    the idempotency keys. Retries, timeouts, disconnects and deadlines are
+    counted in {!stats} only. *)
 
 val stats : t -> stats
 

@@ -70,27 +70,18 @@ let call t request =
    request happens before the server sees anything; duplicate / delay /
    dropped response happen after the request was applied, which is exactly
    the dangerous applied-but-ack-lost window idempotency keys exist for. *)
-let lossy ?(config = default_lossy) ?metrics ~rng inner =
+let lossy ?(config = default_lossy) ~rng inner =
   let fc =
     { dropped_requests = 0; dropped_responses = 0; duplicates = 0; delays = 0; resets = 0 }
   in
-  let mc name = Option.map (fun m -> Obs.Metrics.counter m name) metrics in
-  let m_dropreq = mc "lossy_dropped_requests" in
-  let m_dropresp = mc "lossy_dropped_responses" in
-  let m_dup = mc "lossy_duplicates" in
-  let m_delay = mc "lossy_delays" in
-  let m_reset = mc "lossy_resets" in
-  let bump cm = Option.iter Obs.Metrics.incr cm in
   let handler request =
     if Sim.Rng.chance rng config.reset then begin
       fc.resets <- fc.resets + 1;
-      bump m_reset;
       raise Disconnected
     end
     else if Sim.Rng.chance rng config.drop_request then begin
       (* never delivered: the client burns its whole patience window *)
       fc.dropped_requests <- fc.dropped_requests + 1;
-      bump m_dropreq;
       Sim.Clock.advance inner.clock config.timeout_us;
       raise Timeout
     end
@@ -100,14 +91,12 @@ let lossy ?(config = default_lossy) ?metrics ~rng inner =
         (* the network delivered the datagram twice; the server answers
            both, the client reads the first answer *)
         fc.duplicates <- fc.duplicates + 1;
-        bump m_dup;
         ignore (call inner request)
       end;
       let late =
         Sim.Rng.chance rng config.delay
         && begin
              fc.delays <- fc.delays + 1;
-             bump m_delay;
              let bound = Int64.to_int config.max_delay_us + 1 in
              let d = Int64.of_int (Sim.Rng.int rng (max 1 bound)) in
              Sim.Clock.advance inner.clock d;
@@ -117,7 +106,6 @@ let lossy ?(config = default_lossy) ?metrics ~rng inner =
       if late || Sim.Rng.chance rng config.drop_response then begin
         (* applied, but the ack never made it back in time *)
         fc.dropped_responses <- fc.dropped_responses + 1;
-        bump m_dropresp;
         if not late then Sim.Clock.advance inner.clock config.timeout_us;
         raise Timeout
       end;

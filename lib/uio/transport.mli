@@ -68,13 +68,12 @@ val local :
     per round trip. Use 500–1000 for the paper's same-machine IPC, and
     2500–3000 for its cross-workstation IPC. *)
 
-val lossy :
-  ?config:lossy_config -> ?metrics:Obs.Metrics.t -> rng:Sim.Rng.t -> t -> t
+val lossy : ?config:lossy_config -> rng:Sim.Rng.t -> t -> t
 (** [lossy ~rng inner] is [inner] behind the chaos layer. A duplicate
     delivers the request to [inner] twice (both charged to [inner]'s
     counters); drops and late delays raise {!Timeout} after advancing the
     clock by the patience window, resets raise {!Disconnected} before
-    delivery. With [metrics], each fault kind bumps a [lossy_*] counter. *)
+    delivery. Each fault kind is counted in {!faults} only. *)
 
 val call : t -> string -> string
 (** May raise {!Timeout} / {!Disconnected} on a {!lossy} transport. *)

@@ -7,13 +7,9 @@ type t = {
   mutable write_head : int;
   mutable busy_us : int64;
   mutable seeks : int;
-  h_read_us : Obs.Histogram.t option;
-  h_write_us : Obs.Histogram.t option;
 }
 
-let create ~clock ~model ?(separate_heads = true) ?metrics inner =
-  let h_read_us = Option.map (fun m -> Obs.Metrics.histogram m "dev_read_us") metrics in
-  let h_write_us = Option.map (fun m -> Obs.Metrics.histogram m "dev_write_us") metrics in
+let create ~clock ~model ?(separate_heads = true) inner =
   {
     inner;
     clock;
@@ -23,15 +19,11 @@ let create ~clock ~model ?(separate_heads = true) ?metrics inner =
     write_head = 0;
     busy_us = 0L;
     seeks = 0;
-    h_read_us;
-    h_write_us;
   }
 
 let charge t us =
   t.busy_us <- Int64.add t.busy_us us;
   Sim.Clock.advance t.clock us
-
-let sample h us = match h with Some h -> Obs.Histogram.record h (Int64.to_int us) | None -> ()
 
 let charge_read t idx bytes =
   let dist = abs (idx - t.read_head) in
@@ -40,7 +32,6 @@ let charge_read t idx bytes =
   let us =
     Int64.add (t.model.Sim.Seek_model.seek_us ~dist) (t.model.Sim.Seek_model.transfer_us ~bytes)
   in
-  sample t.h_read_us us;
   charge t us
 
 let charge_write t idx bytes =
@@ -52,7 +43,6 @@ let charge_write t idx bytes =
   let us =
     Int64.add (t.model.Sim.Seek_model.seek_us ~dist) (t.model.Sim.Seek_model.transfer_us ~bytes)
   in
-  sample t.h_write_us us;
   charge t us
 
 let read t idx =
@@ -86,7 +76,6 @@ let read_many t idxs =
       Int64.add (t.model.Sim.Seek_model.seek_us ~dist)
         (t.model.Sim.Seek_model.transfer_us ~bytes)
     in
-    sample t.h_read_us us;
     charge t us;
     results
   in

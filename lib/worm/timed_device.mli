@@ -13,11 +13,9 @@ val create :
   clock:Sim.Clock.t ->
   model:Sim.Seek_model.t ->
   ?separate_heads:bool ->
-  ?metrics:Obs.Metrics.t ->
   Block_io.t ->
   t
-(** With [metrics], each op's simulated seek+transfer time is sampled into
-    that registry's [dev_read_us] / [dev_write_us] histograms. *)
+(** Device time is accounted here only: {!busy_us} and {!seeks}. *)
 
 val io : t -> Block_io.t
 (** The wrapped device: same semantics, plus time accounting. *)

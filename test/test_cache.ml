@@ -253,19 +253,6 @@ let test_cache_hit_returns_copy () =
     (Result.get_ok (io.Worm.Block_io.read 1));
   Alcotest.(check bool) "still cached" true (Blockcache.Cache.contains c 1)
 
-let test_cache_metrics_mirror () =
-  let d = Worm.Mem_device.create ~block_size:64 ~capacity:64 () in
-  let m = Obs.Metrics.create () in
-  let c = Blockcache.Cache.create ~capacity_blocks:4 ~metrics:m (Worm.Mem_device.io d) in
-  let io = Blockcache.Cache.io c in
-  ignore (io.Worm.Block_io.append (Bytes.make 64 'a'));
-  Blockcache.Cache.drop c;
-  ignore (io.Worm.Block_io.read 0);
-  ignore (io.Worm.Block_io.read 0);
-  let v name = List.assoc name (Obs.Metrics.counters m) in
-  Alcotest.(check int) "shared miss counter" 1 (v "cache_misses");
-  Alcotest.(check int) "shared hit counter" 1 (v "cache_hits")
-
 let test_cache_preload () =
   let _, c, io = mk_cached () in
   ignore (io.Worm.Block_io.append (Bytes.make 64 'a'));
@@ -300,7 +287,6 @@ let () =
           Alcotest.test_case "invalidate evicts" `Quick test_cache_invalidate_evicts;
           Alcotest.test_case "masks device corruption" `Quick test_cache_masks_device_corruption;
           Alcotest.test_case "hit returns a copy" `Quick test_cache_hit_returns_copy;
-          Alcotest.test_case "metrics mirror" `Quick test_cache_metrics_mirror;
           Alcotest.test_case "preload" `Quick test_cache_preload;
         ] );
     ]

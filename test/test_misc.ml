@@ -12,7 +12,6 @@ let test_config_validation () =
   bad { Clio.Config.default with fanout = 1 };
   bad { Clio.Config.default with fanout = 5000 };
   bad { Clio.Config.default with block_size = 32 };
-  bad { Clio.Config.default with entrymap_slack = 0 };
   bad { Clio.Config.default with cache_blocks = 0 };
   ignore (ok (Clio.Config.validate Clio.Config.default))
 
