@@ -3,7 +3,7 @@
    pure block streaming and its cost is round-trip bound — exactly the
    IPC-floor story of the paper's section 3, replayed over [Repl_blocks].
 
-   Two phases:
+   Three phases:
      lag      - a replica synced after every burst; rows sweep the batch
                 size at the paper's two IPC latencies and report the worst
                 observed lag plus the round trips and modeled time spent
@@ -11,6 +11,11 @@
      catchup  - the replica is offline for the whole write phase, then one
                 drain ships the entire backlog; throughput is the settled
                 backlog over the modeled wall time.
+     read     - the replica's device reads for one fold of a sparse log
+                after a 1-block shipment, at two volume sizes. The replica
+                catches its one server up in place, so the cost is the
+                shipped block plus at most one entrymap descent, whatever
+                the volume size.
 
    Every row re-verifies the invariants CI enforces: the replica's volumes
    byte-identical to the primary's ([diverged] = false) and no block ever
@@ -118,8 +123,85 @@ let run_one ~phase ~batch_blocks ~ipc_us ~bursts ~per_burst ~sync_each =
       diverged = check_diverged devices r;
     } )
 
+type read_row = {
+  vol_blocks : int;  (** settled blocks on the volume before the shipment *)
+  fanout : int;
+  levels : int;
+  shipped : int;  (** blocks in the shipment before the measured fold *)
+  warm_reads : int;  (** device reads of a repeated fold, no shipment between *)
+  fold_reads : int;  (** device reads of the fold after the shipment *)
+  read_reshipped : int;
+  read_diverged : bool;
+}
+
+let replica_reads r =
+  List.fold_left
+    (fun acc i ->
+      match Repl.Replica.device r i with
+      | Some d -> acc + d.Worm.Block_io.stats.Worm.Dev_stats.reads
+      | None -> acc)
+    0
+    (List.init (Repl.Replica.nvols r) Fun.id)
+
+(* A bulk log fills one block per entry; a sparse log gets an entry every
+   50 blocks. The replica is converged and has folded the sparse log once
+   before the measured shipment. *)
+let read_one ~blocks =
+  let config = { Clio.Config.default with block_size = 256 } in
+  let clock = Sim.Clock.simulated () in
+  let devices = ref [] in
+  let alloc ~vol_index:_ =
+    let d = Worm.Mem_device.create ~block_size:256 ~capacity () in
+    devices := !devices @ [ d ];
+    Ok (Worm.Mem_device.io d)
+  in
+  let srv =
+    Util.ok (Clio.Server.create ~config ~clock ~nvram:(Worm.Nvram.create ()) ~alloc_volume:alloc ())
+  in
+  let bulk = Util.ok (Clio.Server.create_log srv "/bulk") in
+  let sparse = Util.ok (Clio.Server.create_log srv "/sparse") in
+  let r = mk_replica config in
+  let transport = Uio.Transport.local ~latency_us:1000L ~clock (Repl.Replica.handler r) in
+  let sh = Repl.Shipper.create srv [ ("replica", transport) ] in
+  let bulk_entry () = ignore (Util.ok (Clio.Server.append srv ~log:bulk (String.make 200 'b'))) in
+  let n = ref 0 in
+  while settled_blocks srv < blocks do
+    incr n;
+    if !n mod 50 = 0 then ignore (Util.ok (Clio.Server.append srv ~log:sparse (payload !n)));
+    bulk_entry ()
+  done;
+  ignore (Util.ok (Clio.Server.force srv));
+  drain sh srv;
+  let fold () =
+    let before = replica_reads r in
+    let rsrv = Util.ok (Repl.Replica.server r) in
+    ignore (Util.ok (Clio.Server.fold_entries rsrv ~log:sparse ~init:0 (fun k _ -> k + 1)));
+    replica_reads r - before
+  in
+  ignore (fold ());
+  let warm_reads = fold () in
+  let vol_blocks = settled_blocks srv in
+  while settled_blocks srv = vol_blocks do
+    bulk_entry ()
+  done;
+  let applied = Repl.Replica.blocks_applied r in
+  drain sh srv;
+  let shipped = Repl.Replica.blocks_applied r - applied in
+  let fold_reads = fold () in
+  let v = Util.ok (Clio.State.active (Clio.Server.state srv)) in
+  {
+    vol_blocks;
+    fanout = Clio.Vol.fanout v;
+    levels = Clio.Vol.levels v;
+    shipped;
+    warm_reads;
+    fold_reads;
+    read_reshipped = Repl.Shipper.reshipped sh;
+    read_diverged = check_diverged devices r;
+  }
+
 let run () =
-  Util.section "REPLICATION - lag vs batch size, catch-up throughput";
+  Util.section "REPLICATION - lag vs batch size, catch-up throughput, read cost";
   let quick = Util.quick () in
   let bursts = if quick then 6 else 20 in
   let per_burst = if quick then 50 else 200 in
@@ -172,10 +254,29 @@ let run () =
       (Int64.to_float r.ipc_us /. 1000.0)
       (float_of_int r.blocks /. (r.modeled_ms /. 1000.0))
   | _ -> ());
+  let read_rows = List.map (fun blocks -> read_one ~blocks) [ 200; 3000 ] in
+  Util.table
+    ~columns:
+      [ "volume blocks"; "shipped"; "warm fold reads"; "fold reads after shipment"; "fanout x levels" ]
+    (List.map
+       (fun r ->
+         [
+           string_of_int r.vol_blocks;
+           string_of_int r.shipped;
+           string_of_int r.warm_reads;
+           string_of_int r.fold_reads;
+           string_of_int (r.fanout * r.levels);
+         ])
+       read_rows);
+  List.iter
+    (fun r ->
+      if r.read_diverged then failwith "replication bench: replica diverged from primary")
+    read_rows;
   (* JSON export for CI: one row object per table row; the validator
-     asserts no row diverged and reshipped stays 0. The embedded metrics
-     come from the last lag run's primary, whose "repl" section carries the
-     ship/lag counters. *)
+     asserts no row diverged, reshipped stays 0 and the larger volume's
+     read row costs at most fanout x levels more than the smaller's. The
+     embedded metrics come from the last lag run's primary, whose "repl"
+     section carries the ship/lag counters. *)
   let metrics_srv = fst (List.nth runs (List.length lag_runs - 1)) in
   let json_rows =
     List.map
@@ -193,5 +294,20 @@ let run () =
             ("diverged", Obs.Json.Bool r.diverged);
           ])
       rows
+    @ List.map
+        (fun r ->
+          Obs.Json.Obj
+            [
+              ("phase", Obs.Json.Str "read");
+              ("blocks", Obs.Json.Int r.vol_blocks);
+              ("fanout", Obs.Json.Int r.fanout);
+              ("levels", Obs.Json.Int r.levels);
+              ("shipped_blocks", Obs.Json.Int r.shipped);
+              ("warm_device_reads", Obs.Json.Int r.warm_reads);
+              ("fold_device_reads", Obs.Json.Int r.fold_reads);
+              ("reshipped", Obs.Json.Int r.read_reshipped);
+              ("diverged", Obs.Json.Bool r.read_diverged);
+            ])
+        read_rows
   in
   Util.emit_bench_json ~name:"repl" ~rows:json_rows metrics_srv

@@ -1,4 +1,4 @@
-type position = { vol : int; block : int; rec_index : int }
+type position = State.position = { vol : int; block : int; rec_index : int }
 
 let compare_position a b =
   match compare a.vol b.vol with

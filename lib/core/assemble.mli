@@ -6,7 +6,7 @@
     continuation of a record is the {e next} version-3 record carrying the
     same log-file id. *)
 
-type position = { vol : int; block : int; rec_index : int }
+type position = State.position = { vol : int; block : int; rec_index : int }
 
 val compare_position : position -> position -> int
 

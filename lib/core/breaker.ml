@@ -7,32 +7,10 @@ type t = {
   mutable state : state;
   mutable trips : int;
   mutable rejected : int;
-  c_errors : Obs.Metrics.counter;
-  c_trips : Obs.Metrics.counter;
-  c_rejected : Obs.Metrics.counter;
-  metrics : Obs.Metrics.t;
 }
 
-let publish_state t =
-  Obs.Metrics.gauge t.metrics "breaker_open" (match t.state with Open -> 1 | Closed -> 0)
-
-let create ~metrics ~threshold () =
-  let t =
-    {
-      threshold;
-      errors = 0;
-      total_errors = 0;
-      state = Closed;
-      trips = 0;
-      rejected = 0;
-      c_errors = Obs.Metrics.counter metrics "breaker_device_errors";
-      c_trips = Obs.Metrics.counter metrics "breaker_trips";
-      c_rejected = Obs.Metrics.counter metrics "breaker_writes_rejected";
-      metrics;
-    }
-  in
-  publish_state t;
-  t
+let create ~threshold () =
+  { threshold; errors = 0; total_errors = 0; state = Closed; trips = 0; rejected = 0 }
 
 let state t = t.state
 let is_open t = t.state = Open
@@ -46,25 +24,19 @@ let enabled t = t.threshold > 0
 let trip t =
   if t.state = Closed then begin
     t.state <- Open;
-    t.trips <- t.trips + 1;
-    Obs.Metrics.incr t.c_trips;
-    publish_state t
+    t.trips <- t.trips + 1
   end
 
 let record_error t =
   t.errors <- t.errors + 1;
   t.total_errors <- t.total_errors + 1;
-  Obs.Metrics.incr t.c_errors;
   if enabled t && t.errors >= t.threshold then trip t
 
-let record_rejected t =
-  t.rejected <- t.rejected + 1;
-  Obs.Metrics.incr t.c_rejected
+let record_rejected t = t.rejected <- t.rejected + 1
 
 let reset t =
   t.errors <- 0;
-  t.state <- Closed;
-  publish_state t
+  t.state <- Closed
 
 let state_name t = match t.state with Closed -> "closed" | Open -> "open"
 

@@ -14,15 +14,14 @@
     the server API), typically after swapping the device or salvaging to
     fresh media.
 
-    All transitions are mirrored into the server's metrics registry:
-    [breaker_device_errors], [breaker_trips], [breaker_writes_rejected]
-    counters and the [breaker_open] gauge. *)
+    Its counts and state are exported once, as the [breaker] section of
+    the server's metrics ({!to_json}). *)
 
 type state = Closed | Open
 
 type t
 
-val create : metrics:Obs.Metrics.t -> threshold:int -> unit -> t
+val create : threshold:int -> unit -> t
 (** [threshold] device errors trip the breaker; [threshold <= 0] disables
     tripping (errors are still counted). *)
 

@@ -36,6 +36,20 @@ let decode ~fanout payload =
   in
   go 0 []
 
+let find ~fanout payload id =
+  let size = 2 + ((fanout + 7) / 8) in
+  let rec search lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let at = 8 + (mid * size) in
+      let k = String.get_uint16_le payload at in
+      if k < id then search (mid + 1) hi
+      else if k > id then search lo mid
+      else Result.to_option (Bitmap.of_string ~width:fanout (String.sub payload (at + 2) (size - 2)))
+  in
+  search 0 (String.get_uint16_le payload 6)
+
 let entry_overhead_bytes ~fanout ~files = 8 + (files * (2 + ((fanout + 7) / 8)))
 
 module Pending = struct

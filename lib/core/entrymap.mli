@@ -23,6 +23,10 @@ type entry = {
 val encode : entry -> string
 val decode : fanout:int -> string -> (entry, Errors.t) result
 
+val find : fanout:int -> string -> Ids.logfile -> Bitmap.t option
+(** The bitmap of log file [id] in an encoded entry (one {!decode}
+    accepts): a binary search of its fixed-size records, sorted by id. *)
+
 val entry_overhead_bytes : fanout:int -> files:int -> int
 (** Encoded size for [files] maps — the [a·(N/8 + c)] term of the
     section 3.5 overhead analysis. *)

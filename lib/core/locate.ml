@@ -44,7 +44,7 @@ let read_map_scan st v ~level ~boundary =
               | Error _ -> scan_rec (i + 1)
               | Ok entry ->
                 if entry.Entrymap.level = level && entry.Entrymap.base = expected_base then
-                  Ok (Some (entry, idx))
+                  Ok (Some (payload, idx))
                 else scan_rec (i + 1)
             end
             else scan_rec (i + 1)
@@ -55,14 +55,15 @@ let read_map_scan st v ~level ~boundary =
   scan_block boundary
 
 (* Memoizing wrapper: every entrymap read goes through here, so a repeated
-   descent decodes each (level, boundary) entry at most once per generation.
+   descent reads each (level, boundary) entry at most once per generation;
+   it is kept encoded, and a bitmap lookup decodes only the one log file.
    Memoization rules for write-once media:
    - a found entry is a settled fact once its block is below the device
      frontier (the open tail may still be displaced on flush);
    - absence is a settled fact only once the {e whole} slack window is below
      the frontier — a deferred entry can still land inside a window that
      overlaps unwritten blocks. *)
-let read_map st v ~level ~boundary =
+let read_map_encoded st v ~level ~boundary =
   let memo_on = st.State.config.Config.locate_memo in
   let vol = vol_index_of st v in
   let gen = !(v.Vol.read_gen) in
@@ -78,16 +79,20 @@ let read_map st v ~level ~boundary =
        "missing" rather than failing the whole locate (and never memoize a
        tolerated failure). *)
     match read_map_scan st v ~level ~boundary with
-    | Ok (Some (entry, idx)) ->
+    | Ok (Some (payload, idx)) ->
       if memo_on && idx < Vol.device_frontier v then
-        Read_memo.store_entry st.State.read_memo ~vol ~level ~boundary ~gen (Some entry);
-      Ok (Some entry)
+        Read_memo.store_entry st.State.read_memo ~vol ~level ~boundary ~gen (Some payload);
+      Ok (Some payload)
     | Ok None ->
       if memo_on && boundary + entrymap_slack <= Vol.device_frontier v then
         Read_memo.store_entry st.State.read_memo ~vol ~level ~boundary ~gen None;
       Ok None
     | Error (Errors.Corrupt_block _) | Error Errors.No_entry -> Ok None
     | Error _ as e -> e)
+
+let read_map st v ~level ~boundary =
+  let* p = read_map_encoded st v ~level ~boundary in
+  Ok (Option.bind p (fun p -> Result.to_option (Entrymap.decode ~fanout:(Vol.fanout v) p)))
 
 let block_contains st v ~log idx =
   match view st v idx with
@@ -119,12 +124,12 @@ let get_bitmap st v ~level ~base ~log =
     let boundary = base + Vol.pow_fanout v level in
     if boundary > Vol.written_limit v then Ok Missing_map
     else
-      let* entry = read_map st v ~level ~boundary in
+      let* entry = read_map_encoded st v ~level ~boundary in
       match entry with
       | None -> Ok Missing_map
-      | Some e ->
+      | Some p ->
         count ();
-        (match List.assoc_opt log e.Entrymap.maps with
+        (match Entrymap.find ~fanout:(Vol.fanout v) p log with
         | Some bm -> Ok (Map bm)
         | None -> Ok (Map (Bitmap.create (Vol.fanout v))))
   end

@@ -27,9 +27,9 @@ module Bounded = struct
 end
 
 type t = {
-  entries : (int * int * int, Entrymap.entry option * int) Bounded.t;
-      (* (vol, level, boundary) -> decoded entrymap entry (or confirmed
-         absence) at that boundary, stamped with the volume generation *)
+  entries : (int * int * int, string option * int) Bounded.t;
+      (* (vol, level, boundary) -> encoded entrymap entry (4 B per log file,
+         some 90 decoded) or confirmed absence, stamped with the generation *)
   next_links : (int * int * int, int * int) Bounded.t;
       (* (vol, log, from) -> smallest settled block >= from holding entries
          of log, with nothing of log in [from, block) *)

@@ -1,5 +1,5 @@
-(** Read-path memoization: decoded entrymap entries and a per-log skip index
-    of confirmed block positions.
+(** Read-path memoization: entrymap entries and a per-log skip index of
+    confirmed block positions.
 
     Everything below the active volume's frontier is write-once, so a locate
     descent's work product is immutable fact: "the level-[l] entrymap entry
@@ -30,13 +30,11 @@ val resident : t -> int
 
 (** {1 Entrymap entry memo} *)
 
-val find_entry :
-  t -> vol:int -> level:int -> boundary:int -> gen:int -> Entrymap.entry option option
-(** [Some (Some e)] — entry known to decode to [e]; [Some None] — boundary
-    known to have no (reachable) entry; [None] — not memoized. *)
+val find_entry : t -> vol:int -> level:int -> boundary:int -> gen:int -> string option option
+(** [Some (Some p)] — the entry in its on-medium encoding [p]; [Some None]
+    — boundary known to have no (reachable) entry; [None] — not memoized. *)
 
-val store_entry :
-  t -> vol:int -> level:int -> boundary:int -> gen:int -> Entrymap.entry option -> unit
+val store_entry : t -> vol:int -> level:int -> boundary:int -> gen:int -> string option -> unit
 
 (** {1 Skip index (confirmed locate results)} *)
 

@@ -167,27 +167,38 @@ let restore_last_ts st (v : Vol.t) =
   if Int64.compare v.hdr.Volume.created st.State.last_ts > 0 then
     st.State.last_ts <- v.hdr.Volume.created
 
+(* Continue the catalog replay past the last entry replayed; a volume opens
+   with a snapshot of every live descriptor, so never before the active one. *)
 let replay_catalog st =
   let last = State.nvols st - 1 in
-  let cursor =
-    Reader.at_position st ~log:Ids.catalog { Assemble.vol = last; block = 1; rec_index = 0 }
+  let from =
+    if st.State.catalog_resume.State.vol < last then { State.vol = last; block = 1; rec_index = 0 }
+    else st.State.catalog_resume
   in
+  let cursor = Reader.at_position st ~log:Ids.catalog from in
   let rec loop () =
     let* e = Reader.next cursor in
     match e with
     | None -> Ok ()
     | Some e ->
       let* () = Catalog.replay st.State.catalog e.Reader.payload in
+      let pos = e.Reader.pos in
+      st.State.catalog_resume <- { pos with State.rec_index = pos.State.rec_index + 1 };
       loop ()
   in
   loop ()
 
-let recover ~config ~clock ?nvram ~alloc_volume ~devices () =
-  let* config = Config.validate config in
-  let st = State.make ~config ~clock ?nvram ~alloc_volume () in
-  Obs.time st.State.obs st.State.probes.State.h_recover "recover" @@ fun () ->
-  st.State.stats.Stats.recoveries <- st.State.stats.Stats.recoveries + 1;
-  (* Read and validate every volume header. *)
+(* Once settled blocks pass a virtual tail, they carry its entrymap entries. *)
+let close_tail st (v : Vol.t) =
+  if v.Vol.tail_open then begin
+    v.Vol.tail_open <- false;
+    Block_format.Builder.reset v.Vol.tail;
+    Queue.clear st.State.deferred_emissions
+  end
+
+(* Read and validate the headers of [devices] (any order) and mount them
+   after the volumes already attached, sealing every predecessor. *)
+let attach st devices =
   let* headed =
     List.fold_left
       (fun acc dev ->
@@ -198,110 +209,129 @@ let recover ~config ~clock ?nvram ~alloc_volume ~devices () =
       (Ok []) devices
   in
   let headed = List.sort (fun (a, _) (b, _) -> compare a.Volume.vol_index b.Volume.vol_index) headed in
-  let* () =
+  let seq =
     match headed with
-    | [] -> Error (Errors.Bad_record "no volumes supplied")
-    | (first, _) :: _ ->
-      let seq = first.Volume.seq_uid in
-      let rec check i = function
-        | [] -> Ok ()
-        | (h, _) :: rest ->
-          if h.Volume.seq_uid <> seq then Error (Errors.Bad_record "volumes from different sequences")
-          else if h.Volume.vol_index <> i then Error (Errors.Bad_record "volume sequence has gaps")
-          else check (i + 1) rest
+    | (h, _) :: _ when State.nvols st = 0 -> h.Volume.seq_uid
+    | _ -> st.State.seq_uid
+  in
+  let rec check i = function
+    | [] -> Ok ()
+    | (h, _) :: rest ->
+      if h.Volume.seq_uid <> seq then Error (Errors.Bad_record "volumes from different sequences")
+      else if h.Volume.vol_index <> i then Error (Errors.Bad_record "volume sequence has gaps")
+      else check (i + 1) rest
+  in
+  let* () = check (State.nvols st) headed in
+  List.iter
+    (fun (hdr, dev) ->
+      Array.iter (fun v -> v.Vol.sealed <- true; close_tail st v) st.State.vols;
+      st.State.vols <- Array.append st.State.vols [| Vol.make ~config:st.State.config ~hdr dev |];
+      st.State.seq_uid <- hdr.Volume.seq_uid;
+      let m = max hdr.Volume.vol_uid hdr.Volume.seq_uid in
+      if Int64.compare m st.State.next_vol_uid >= 0 then st.State.next_vol_uid <- Int64.add m 1L)
+    headed;
+  Ok ()
+
+(* Restore a forced tail block from battery-backed RAM (section 2.3.1);
+   returns whether the tail changed (not for an image it already holds). *)
+let restore_tail st (active : Vol.t) =
+  match st.State.nvram with
+  | None -> Ok false
+  | Some nv -> (
+    match Worm.Nvram.load nv with
+    | None -> Ok false
+    | Some (block, image)
+      when active.Vol.tail_open && block = active.Vol.tail_index
+           && Bytes.equal image (Block_format.Builder.finish ~forced:true active.Vol.tail) ->
+      Ok false
+    | Some (block, image) ->
+      (* An image naming another block than the tail has TWO causes: the
+         block reached the medium (stale — clear), or a torn burn left
+         garbage there that quarantine invalidated, moving the tail past an
+         image that never landed (NOT stale — it holds force-acknowledged
+         entries, to be restored at the new tail). Only a block that reads
+         back as valid records proves the image landed. *)
+      let stale =
+        block <> active.Vol.tail_index
+        &&
+        match active.Vol.dev.Worm.Block_io.read block with
+        | Ok b -> (
+          match Block_format.classify b with
+          | Block_format.Valid _ -> true
+          | Block_format.Invalidated | Block_format.Corrupt -> false)
+        | Error _ -> false
       in
-      check 0 headed
-  in
-  let vols =
-    List.map
-      (fun (hdr, dev) ->
-        let v = Vol.make ~config ~hdr dev in
-        let upper = find_frontier st dev in
-        let f = quarantine_garbage st v upper in
-        v.Vol.tail_index <- max f 1;
-        v)
-      headed
-  in
-  let vols = Array.of_list vols in
-  let n = Array.length vols in
-  Array.iteri (fun i v -> if i < n - 1 then v.Vol.sealed <- true) vols;
-  st.State.vols <- vols;
-  (match List.rev headed with
-  | (hdr, _) :: _ ->
-    st.State.seq_uid <- hdr.Volume.seq_uid;
-    let max_uid =
-      List.fold_left
-        (fun acc (h, _) ->
-          let m = if Int64.compare h.Volume.vol_uid acc > 0 then h.Volume.vol_uid else acc in
-          if Int64.compare h.Volume.seq_uid m > 0 then h.Volume.seq_uid else m)
-        0L headed
-    in
-    st.State.next_vol_uid <- Int64.add max_uid 1L
-  | [] -> ());
-  Array.iter (fun v -> rebuild_pending st v) vols;
-  (* Restore a forced tail block from battery-backed RAM (section 2.3.1). *)
-  let active = vols.(n - 1) in
-  let* () =
-    match nvram with
-    | None -> Ok ()
-    | Some nv -> (
-      match Worm.Nvram.load nv with
-      | None -> Ok ()
-      | Some (block, image) ->
-        (* The image names the tail block it was staged for. [block]
-           differing from the recovered tail has TWO causes that must not
-           be conflated: the block reached the medium before the crash
-           (stale — clear), or the crashed writer's torn burn left garbage
-           there and quarantine invalidated it, advancing the tail past an
-           image that never landed (NOT stale — the image holds
-           force-acknowledged entries and must be restored at the new
-           tail, or an acknowledged force is silently lost). Only a block
-           that reads back as valid records proves the image landed. *)
-        let stale =
-          block <> active.Vol.tail_index
-          &&
-          match active.Vol.dev.Worm.Block_io.read block with
-          | Ok b -> (
-            match Block_format.classify b with
-            | Block_format.Valid _ -> true
-            | Block_format.Invalidated | Block_format.Corrupt -> false)
-          | Error _ -> false
-        in
-        if stale then begin
+      if stale then begin
+        Worm.Nvram.clear nv;
+        Ok false
+      end
+      else (
+        match Block_format.classify image with
+        | Block_format.Valid records ->
+          Block_format.Builder.reset active.Vol.tail;
+          let* () = Block_format.Builder.load active.Vol.tail records in
+          active.Vol.tail_open <- true;
+          (* Re-queue any entrymap entries due at the (possibly moved)
+             tail boundary; duplicates are harmless (locate takes the
+             first match), and a level already taken yields none. *)
+          let block = active.Vol.tail_index in
+          let due = Entrymap.Pending.due_at active.Vol.pending ~block in
+          List.iter
+            (fun level ->
+              match Entrymap.Pending.take active.Vol.pending ~level ~boundary:block with
+              | Some e -> Queue.add (active, e) st.State.deferred_emissions
+              | None -> ())
+            due;
+          Ok true
+        | Block_format.Invalidated | Block_format.Corrupt ->
           Worm.Nvram.clear nv;
-          Ok ()
-        end
-        else (
-          match Block_format.classify image with
-          | Block_format.Valid records ->
-            let* () = Block_format.Builder.load active.Vol.tail records in
-            active.Vol.tail_open <- true;
-            (* Re-queue any entrymap entries due at the (possibly moved)
-               tail boundary; duplicates are harmless (locate takes the
-               first match). *)
-            let block = active.Vol.tail_index in
-            let due = Entrymap.Pending.due_at active.Vol.pending ~block in
-            List.iter
-              (fun level ->
-                match Entrymap.Pending.take active.Vol.pending ~level ~boundary:block with
-                | Some e -> Queue.add (active, e) st.State.deferred_emissions
-                | None -> ())
-              due;
-            Ok ()
-          | Block_format.Invalidated | Block_format.Corrupt ->
-            Worm.Nvram.clear nv;
-            Ok ()))
+          Ok false))
+
+(* The recovery steps of section 2.3.1, applied in place to what the volumes
+   gained since they last ran: advance each to its frontier ([frontier_of]),
+   rebuild the pending bits of those that moved, settle the virtual tail,
+   continue the catalog replay. Unchanged frontiers and NVRAM do nothing. *)
+let advance st ~frontier_of =
+  let moved =
+    List.filter
+      (fun v ->
+        let f = max (frontier_of v) 1 in
+        f <> v.Vol.tail_index && (v.Vol.tail_index <- f; true))
+      (Array.to_list st.State.vols)
   in
-  let* () = replay_catalog st in
-  (* The pending bitmaps were rebuilt before the catalog existed, so sublog
-     ancestor bits are missing from them. Re-seeding is additive (same
-     ranges, OR-ed bits), and the blocks are cache-warm from the first
-     pass; only hierarchical catalogs need it. *)
-  let hierarchical =
-    List.exists
-      (fun d -> d.Catalog.parent <> Ids.root)
-      (Catalog.live_descriptors st.State.catalog)
+  List.iter (rebuild_pending st) moved;
+  match State.active st with
+  | Error _ -> Ok ()
+  | Ok active ->
+    if List.memq active moved then close_tail st active;
+    let* restored = restore_tail st active in
+    if moved = [] && not restored then Ok ()
+    else begin
+      let* () = replay_catalog st in
+      (* Pending bits rebuilt before the catalog caught up may lack sublog
+         ancestors. Re-seeding is additive (same ranges, OR-ed bits) and
+         cache-warm; only hierarchical catalogs need it. *)
+      let hierarchical =
+        List.exists
+          (fun d -> d.Catalog.parent <> Ids.root)
+          (Catalog.live_descriptors st.State.catalog)
+      in
+      if hierarchical then List.iter (rebuild_pending st) moved;
+      restore_last_ts st active;
+      Ok ()
+    end
+
+let catch_up st ~devices =
+  let* () = attach st (List.filteri (fun i _ -> i >= State.nvols st) devices) in
+  advance st ~frontier_of:(fun v -> find_frontier st v.Vol.dev)
+
+let recover ~config ~clock ?nvram ~alloc_volume ~devices () =
+  let* config = Config.validate config in
+  let st = State.make ~config ~clock ?nvram ~alloc_volume () in
+  Obs.time st.State.obs st.State.probes.State.h_recover "recover" @@ fun () ->
+  st.State.stats.Stats.recoveries <- st.State.stats.Stats.recoveries + 1;
+  let* () = attach st devices in
+  let* () =
+    advance st ~frontier_of:(fun v -> quarantine_garbage st v (find_frontier st v.Vol.dev))
   in
-  if hierarchical then Array.iter (fun v -> rebuild_pending st v) vols;
-  restore_last_ts st active;
   Ok st

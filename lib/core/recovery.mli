@@ -11,7 +11,8 @@
 
     Additionally: garbage blocks found past the last valid block (a crashed
     writer sprayed junk) are invalidated and queued for the bad-block log,
-    and a tail block staged in battery-backed RAM is restored. *)
+    and a tail block staged in battery-backed RAM is restored. The same
+    steps also run in place on a live read replica ({!catch_up}). *)
 
 val find_frontier : State.t -> Worm.Block_io.t -> int
 (** Next unwritten block index; counts probes in
@@ -20,6 +21,12 @@ val find_frontier : State.t -> Worm.Block_io.t -> int
 val rebuild_pending : State.t -> Vol.t -> unit
 (** Reconstructs the volume's pending entrymap bitmaps; counts block
     examinations in [stats.recovery_blocks_examined]. *)
+
+val catch_up : State.t -> devices:Worm.Block_io.t list -> (unit, Errors.t) result
+(** Brings a live state up to its devices (in volume order, a prefix of
+    them attached): mounts new volumes, advances frontiers, rebuilds pending
+    bits, settles the virtual tail and continues the catalog replay. Reads
+    nothing when no frontier and no NVRAM image changed; never writes. *)
 
 val recover :
   config:Config.t ->
@@ -30,4 +37,5 @@ val recover :
   unit ->
   (State.t, Errors.t) result
 (** Full server initialization from the volume-sequence devices (any order;
-    they are sorted by the volume index in their headers). *)
+    sorted by the volume index in their headers): header validation,
+    garbage quarantine, then {!catch_up}'s steps. Devices may be [[]]. *)

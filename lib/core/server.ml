@@ -13,6 +13,8 @@ let create ?(config = Config.default) ~clock ?nvram ~alloc_volume () =
 let recover ?(config = Config.default) ~clock ?nvram ~alloc_volume ~devices () =
   Recovery.recover ~config ~clock ?nvram ~alloc_volume ~devices ()
 
+let catch_up = Recovery.catch_up
+
 (* ----------------------------- degraded mode ----------------------------- *)
 
 (* Every mutating entry point passes through [write_guarded]: a tripped
@@ -45,7 +47,6 @@ let write_guarded st f =
       r
     end
 
-let breaker_state st = Breaker.state (breaker st)
 let reset_breaker st = Breaker.reset (breaker st)
 let trip_breaker st = Breaker.trip (breaker st)
 

@@ -38,7 +38,13 @@ val recover :
   devices:Worm.Block_io.t list ->
   unit ->
   (t, Errors.t) result
-(** Reboot from existing volumes (section 2.3.1). *)
+(** Reboot from existing volumes (section 2.3.1). With no devices the
+    server holds no volumes until {!catch_up} attaches some. *)
+
+val catch_up : t -> devices:Worm.Block_io.t list -> (unit, Errors.t) result
+(** Recovery in place ({!Recovery.catch_up}) for a server whose devices
+    someone else writes (a read replica): cache, memo, catalog and open
+    cursors survive, and unchanged devices cost no read. *)
 
 (** {1 Naming and the catalog} *)
 
@@ -117,7 +123,6 @@ val force : t -> (unit, Errors.t) result
     or [clio admin breaker]. *)
 
 val breaker : t -> Breaker.t
-val breaker_state : t -> Breaker.state
 
 val reset_breaker : t -> unit
 (** Close the breaker and zero the current error budget (cumulative totals

@@ -30,6 +30,8 @@ let role_name = function
 let role_epoch = function
   | Primary { epoch } | Replica { epoch; _ } | Fenced { epoch; _ } -> epoch
 
+type position = { vol : int; block : int; rec_index : int }
+
 type t = {
   config : Config.t;
   clock : Sim.Clock.t;
@@ -52,6 +54,7 @@ type t = {
   breaker : Breaker.t;
   mutable role : role;
   mutable repl_lag_blocks : int;
+  mutable catalog_resume : position;
 }
 
 let make ~config ~clock ?nvram ~alloc_volume () =
@@ -89,9 +92,10 @@ let make ~config ~clock ?nvram ~alloc_volume () =
     deferred_emissions = Queue.create ();
     auto_mount = true;
     mounts = 0;
-    breaker = Breaker.create ~metrics:m ~threshold:config.Config.breaker_threshold ();
+    breaker = Breaker.create ~threshold:config.Config.breaker_threshold ();
     role = Primary { epoch = 1 };
     repl_lag_blocks = 0;
+    catalog_resume = { vol = 0; block = 1; rec_index = 0 };
   }
 
 let active t =

@@ -31,6 +31,9 @@ val role_name : role -> string
 
 val role_epoch : role -> int
 
+(** A record position, re-exported as {!Assemble.position}. *)
+type position = { vol : int; block : int; rec_index : int }
+
 type t = {
   config : Config.t;
   clock : Sim.Clock.t;
@@ -74,6 +77,8 @@ type t = {
   mutable repl_lag_blocks : int;
       (** primary-side gauge: settled blocks the furthest-behind replica has
           not acknowledged, as of the last shipper sync *)
+  mutable catalog_resume : position;
+      (** where catalog replay continues ({!Recovery.catch_up}) *)
 }
 
 val make :

@@ -1,107 +1,75 @@
 (* A read replica: raw WORM devices populated exclusively by the primary's
-   shipper, a server rebuilt from them on demand, and an RPC endpoint that
-   intercepts Repl_* traffic before the plain dispatcher sees it.
+   shipper, one server caught up from them in place, and an RPC endpoint
+   that intercepts Repl_* traffic before the plain dispatcher sees it.
 
    The invariant everything rests on: the replica's devices are written only
    by [apply] (verbatim shipped bytes, in order, at the shipped indices), so
    they are byte-identical to the primary's settled storage up to the
-   frontier. The server layered on top is therefore the same server recovery
-   would build on the primary after a crash — replication is recovery,
-   continuously. *)
+   frontier, and the server runs recovery's steps over them a few blocks at
+   a time — replication is recovery, continuously. *)
 
 type t = {
-  config : Clio.Config.t;
-  clock : Sim.Clock.t;
-  nvram : Worm.Nvram.t option;
   alloc : vol_index:int -> (Worm.Block_io.t, Clio.Errors.t) result;
-      (** hands out the raw device backing a newly shipped volume *)
+      (** the raw device backing a new volume, recorded in [devices] *)
   primary_hint : string;
   devices : (int, Worm.Block_io.t) Hashtbl.t;  (** vol_index -> raw device *)
-  mutable epoch : int;
   mutable seq_uid : int64;  (** 0L until the first shipment names one *)
-  mutable promoted : bool;
-  mutable srv : Clio.Server.t option;  (** None until first rebuild *)
-  mutable rpc : Uio.Rpc_server.t option;
-  mutable dirty : bool;  (** devices/NVRAM changed since [srv] was built *)
-  (* Lifetime counters. A rebuild starts a fresh [Stats.t], so the replica
-     carries these across and writes them back into each new server. *)
-  mutable blocks_applied : int;
-  mutable tail_applies : int;
-  mutable epoch_rejects : int;
+  srv : Clio.Server.t;
+      (** holds no volumes until the first shipment; its role carries the
+          epoch, and [Primary] once promoted *)
+  rpc : Uio.Rpc_server.t;
 }
 
 let ( let* ) = Clio.Errors.( let* )
 
-let create ?config ?nvram ~clock ~alloc ~primary_hint () =
-  {
-    config = (match config with Some c -> c | None -> Clio.Config.default);
-    clock;
-    nvram;
-    alloc;
-    primary_hint;
-    devices = Hashtbl.create 4;
-    epoch = 1;
-    seq_uid = 0L;
-    promoted = false;
-    srv = None;
-    rpc = None;
-    dirty = false;
-    blocks_applied = 0;
-    tail_applies = 0;
-    epoch_rejects = 0;
-  }
+let demote srv ~epoch ~primary_hint =
+  Clio.Server.set_role srv (Clio.State.Replica { epoch; primary_hint })
 
-let epoch t = t.epoch
-let blocks_applied t = t.blocks_applied
-let tail_applies t = t.tail_applies
-let epoch_rejects t = t.epoch_rejects
+(* A new volume arrives by shipment, or, once promoted, when the server's
+   own writer rolls over; either way it is one of the replica's devices. *)
+let create ?config ?nvram ~clock ~alloc ~primary_hint () =
+  let devices = Hashtbl.create 4 in
+  let alloc ~vol_index =
+    let* d = alloc ~vol_index in
+    Hashtbl.replace devices vol_index d;
+    Ok d
+  in
+  let srv =
+    match Clio.Server.recover ?config ~clock ?nvram ~alloc_volume:alloc ~devices:[] () with
+    | Ok srv -> srv
+    | Error e -> invalid_arg ("Replica.create: " ^ Clio.Errors.to_string e)
+  in
+  demote srv ~epoch:1 ~primary_hint;
+  let rpc = Uio.Rpc_server.create srv in
+  { alloc; primary_hint; devices; seq_uid = 0L; srv; rpc }
+
+let stats t = Clio.Server.stats t.srv
+let epoch t = Clio.Server.epoch t.srv
+let blocks_applied t = (stats t).Clio.Stats.repl_blocks_applied
+let tail_applies t = (stats t).Clio.Stats.repl_tail_applies
+let epoch_rejects t = (stats t).Clio.Stats.repl_epoch_rejects
 
 let nvols t = Hashtbl.length t.devices
+let nvram t = (Clio.Server.state t.srv).Clio.State.nvram
 
 let device t i = Hashtbl.find_opt t.devices i
+let devices t = List.init (nvols t) (Hashtbl.find t.devices)
 
 let frontier_of dev =
   match dev.Worm.Block_io.frontier () with Some f -> f | None -> 0
 
-let role t : Clio.State.role =
-  if t.promoted then Clio.State.Primary { epoch = t.epoch }
-  else Clio.State.Replica { epoch = t.epoch; primary_hint = t.primary_hint }
-
-let carry_counters t srv =
-  let s = Clio.Server.stats srv in
-  ignore (Clio.Stats.set_field s "repl_blocks_applied" t.blocks_applied);
-  ignore (Clio.Stats.set_field s "repl_tail_applies" t.tail_applies);
-  ignore (Clio.Stats.set_field s "repl_epoch_rejects" t.epoch_rejects)
-
-(* Recovery over the shipped devices — exactly the code path a rebooted
-   primary runs, so catalog, entrymaps and the NVRAM-staged tail replay
-   identically. The rebuilt server is then demoted to its real role. *)
-let rebuild t =
-  let devices =
-    Hashtbl.fold (fun i d acc -> (i, d) :: acc) t.devices []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
-  in
-  if devices = [] then Error (Clio.Errors.Bad_record "replica holds no volumes yet")
-  else
-    let alloc_volume ~vol_index:_ = Error (Clio.Errors.Not_primary t.primary_hint) in
-    let* srv =
-      Clio.Server.recover ~config:t.config ~clock:t.clock ?nvram:t.nvram ~alloc_volume
-        ~devices ()
-    in
-    Clio.Server.set_role srv (role t);
-    carry_counters t srv;
-    t.srv <- Some srv;
-    (match t.rpc with
-    | None -> t.rpc <- Some (Uio.Rpc_server.create srv)
-    | Some rpc -> Uio.Rpc_server.set_server rpc srv);
-    t.dirty <- false;
-    Ok srv
-
+(* Bring the server up to whatever has been applied: exactly the steps a
+   rebooted primary runs, so catalog, entrymaps and the NVRAM-staged tail
+   replay identically. A promoted replica writes its own devices and is
+   past catching up. *)
 let server t =
-  match t.srv with
-  | Some srv when not t.dirty -> Ok srv
-  | _ -> rebuild t
+  if nvols t = 0 then Error (Clio.Errors.Bad_record "replica holds no volumes yet")
+  else
+    match Clio.Server.role t.srv with
+    | Clio.State.Primary _ -> Ok t.srv
+    | Clio.State.Replica _ | Clio.State.Fenced _ ->
+      let* () = Clio.Server.catch_up t.srv ~devices:(devices t) in
+      Ok t.srv
 
 (* Drop the staged tail image once applied settled blocks have passed the
    block it names: the settled bytes supersede it. Without this, a tail that
@@ -109,7 +77,7 @@ let server t =
    the recovery stale-check (the named block reads back invalidated, not
    valid) and resurrect already-settled entries on promotion. *)
 let drop_stale_tail t ~frontier =
-  match t.nvram with
+  match nvram t with
   | None -> ()
   | Some nv -> (
     match Worm.Nvram.load nv with
@@ -117,7 +85,7 @@ let drop_stale_tail t ~frontier =
     | _ -> ())
 
 let ack t ~vol_index ~next_block =
-  Uio.Message.R_repl_ack { epoch = t.epoch; vol_index; next_block }
+  Uio.Message.R_repl_ack { epoch = epoch t; vol_index; next_block }
 
 let apply_blocks t ~seq_uid ~vol_index ~first_block blocks =
   if t.seq_uid <> 0L && seq_uid <> t.seq_uid then
@@ -130,14 +98,7 @@ let apply_blocks t ~seq_uid ~vol_index ~first_block blocks =
          NACK-ack frontier 0 so the shipper restarts that stream. *)
       Ok (ack t ~vol_index ~next_block:0)
     | found ->
-      let* dev =
-        match found with
-        | Some d -> Ok d
-        | None ->
-          let* d = t.alloc ~vol_index in
-          Hashtbl.replace t.devices vol_index d;
-          Ok d
-      in
+      let* dev = match found with Some d -> Ok d | None -> t.alloc ~vol_index in
       let frontier = frontier_of dev in
       if first_block > frontier then
         (* Gap: an earlier shipment was lost. NACK-ack where we really are. *)
@@ -155,8 +116,8 @@ let apply_blocks t ~seq_uid ~vol_index ~first_block blocks =
             else begin
               match dev.Worm.Block_io.append (Bytes.of_string image) with
               | Ok got when got = idx ->
-                t.blocks_applied <- t.blocks_applied + 1;
-                t.dirty <- true;
+                let s = stats t in
+                s.Clio.Stats.repl_blocks_applied <- s.Clio.Stats.repl_blocks_applied + 1;
                 go (idx + 1) rest
               | Ok got ->
                 Error
@@ -184,34 +145,28 @@ let apply_tail t ~seq_uid ~vol_index ~block image =
          meaningful only at the exact frontier, and only for the active
          (last) volume. A lagging replica acks its unchanged frontier. *)
       (if frontier = block && vol_index = nvols t - 1 then
-         match t.nvram with
+         match nvram t with
          | Some nv ->
            Worm.Nvram.store nv ~block (Bytes.of_string image);
-           t.tail_applies <- t.tail_applies + 1;
-           t.dirty <- true
+           let s = stats t in
+           s.Clio.Stats.repl_tail_applies <- s.Clio.Stats.repl_tail_applies + 1
          | None -> ());
       Ok (ack t ~vol_index ~next_block:frontier)
 
-let frontiers t =
-  List.init (nvols t) (fun i ->
-      (i, match device t i with Some d -> frontier_of d | None -> 0))
+let frontiers t = List.mapi (fun i d -> (i, frontier_of d)) (devices t)
 
 (* Epoch gate, shared by every Repl_* message. A stale sender gets
    [Stale_epoch] (that is how a deposed primary learns it was fenced); a
    newer epoch is adopted — if we had promoted ourselves, a newer primary
    re-demotes us. *)
 let check_epoch t e =
-  if e < t.epoch then begin
-    t.epoch_rejects <- t.epoch_rejects + 1;
-    (match t.srv with Some srv -> carry_counters t srv | None -> ());
-    Error (Clio.Errors.Stale_epoch t.epoch)
+  if e < epoch t then begin
+    let s = stats t in
+    s.Clio.Stats.repl_epoch_rejects <- s.Clio.Stats.repl_epoch_rejects + 1;
+    Error (Clio.Errors.Stale_epoch (epoch t))
   end
   else begin
-    if e > t.epoch then begin
-      t.epoch <- e;
-      t.promoted <- false;
-      match t.srv with Some srv -> Clio.Server.set_role srv (role t) | None -> ()
-    end;
+    if e > epoch t then demote t.srv ~epoch:e ~primary_hint:t.primary_hint;
     Ok ()
   end
 
@@ -224,7 +179,7 @@ let handle_repl t (req : Uio.Message.request) =
     let* () = check_epoch t epoch in
     Ok
       (Uio.Message.R_repl_frontier
-         { epoch = t.epoch; seq_uid = t.seq_uid; vols = frontiers t })
+         { epoch = Clio.Server.epoch t.srv; seq_uid = t.seq_uid; vols = frontiers t })
   | Uio.Message.Repl_blocks { epoch; seq_uid; vol_index; first_block; blocks } ->
     let* () = check_epoch t epoch in
     apply_blocks t ~seq_uid ~vol_index ~first_block blocks
@@ -240,22 +195,17 @@ let handler t raw =
        as req) -> (
     match handle_repl t req with Ok r -> encode r | Error e -> encode_err e)
   | Ok _ | Error _ -> (
-    (* Client traffic: lazily rebuild the server over whatever has been
-       applied so far, then let the ordinary dispatcher answer. The rebuilt
-       server's Replica role refuses writes with [Not_primary] + hint. *)
+    (* Client traffic: catch the server up with whatever has been applied
+       so far, then let the ordinary dispatcher answer. The Replica role
+       refuses writes with [Not_primary] + hint. *)
     match server t with
     | Error e -> encode_err e
-    | Ok _ -> (
-      match t.rpc with
-      | Some rpc -> Uio.Rpc_server.handle rpc raw
-      | None -> encode_err (Clio.Errors.Bad_record "replica has no server")))
+    | Ok _ -> Uio.Rpc_server.handle t.rpc raw)
 
 let promote t =
-  t.epoch <- t.epoch + 1;
-  t.promoted <- true;
-  t.dirty <- true;
-  (* Rebuild replays the NVRAM-staged tail image through ordinary recovery,
-     so every entry the primary had acknowledged — settled or staged — is
-     served by the new primary. *)
-  let* srv = rebuild t in
+  (* The last catch-up replays the NVRAM-staged tail image, so every entry
+     the primary had acknowledged — settled or staged — is served by the
+     new primary, on the same server that served the reads. *)
+  let* srv = server t in
+  Clio.Server.set_role srv (Clio.State.Primary { epoch = epoch t + 1 });
   Ok srv

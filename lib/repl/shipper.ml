@@ -37,7 +37,6 @@ let create ?(max_attempts = 30) ?(backoff_us = 500L) srv peers =
   { srv; peers; max_attempts; backoff_us; reshipped = 0 }
 
 let reshipped t = t.reshipped
-let peer_names t = List.map (fun p -> p.name) t.peers
 let fenced_peers t = List.filter_map (fun p -> if p.fenced then Some p.name else None) t.peers
 
 let stats t = Clio.Server.stats t.srv
@@ -171,6 +170,10 @@ let sync_peer t peer =
       let nvols = Array.length st.Clio.State.vols in
       let had_gap = ref false in
       let lag = ref 0 in
+      (* Volumes ship strictly in order: a replica holds a volume whole
+         before it sees its successor's header, so a reader crossing the
+         boundary never passes blocks still in flight. *)
+      let stalled = ref false in
       Array.iteri
         (fun vol_index v ->
           if not peer.fenced then begin
@@ -181,10 +184,11 @@ let sync_peer t peer =
             note_ack peer ~vol_index ~next_block:rf;
             if rf < settled then had_gap := true;
             let reached =
-              if rf < settled then
+              if rf < settled && not !stalled then
                 ship_vol t peer ~epoch ~seq_uid ~vol_index v ~from:rf ~settled
               else rf
             in
+            if reached < settled then stalled := true;
             lag := !lag + max 0 (settled - reached)
           end)
         st.Clio.State.vols;

@@ -38,5 +38,4 @@ val reshipped : t -> int
     lost-ack retries do not count (no ack was received), and the frontier
     exchange resumes exactly at the replica's ack. *)
 
-val peer_names : t -> string list
 val fenced_peers : t -> string list

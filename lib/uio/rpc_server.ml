@@ -40,12 +40,12 @@ let create ?(max_cursors = default_max_cursors) ?(dedup_window = default_dedup_w
 
 let server t = t.srv
 
-(* Swap in a rebuilt server (a replica re-recovers after applying shipped
-   blocks). Cursors point into the old server's volumes, so they are all
-   dropped — a reader sees [Cursor_expired] and reopens, exactly as after a
-   server reboot. The dedup window survives: the connection itself never
-   went away. Metric handles are re-resolved because the new server
-   carries a fresh registry. *)
+(* Swap in a server recovered after a crash restart. Cursors point into
+   the old server's volumes, so they are all dropped — a reader sees
+   [Cursor_expired] and reopens, exactly as after a server reboot. The
+   dedup window survives: the connection itself never went away. Metric
+   handles are re-resolved because the new server carries a fresh
+   registry. *)
 let set_server t srv =
   let m = Clio.Server.metrics srv in
   t.srv <- srv;

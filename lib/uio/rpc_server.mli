@@ -30,10 +30,10 @@ val create : ?max_cursors:int -> ?dedup_window:int -> Clio.Server.t -> t
 val server : t -> Clio.Server.t
 
 val set_server : t -> Clio.Server.t -> unit
-(** Swap in a rebuilt server (a replica re-recovers after applying shipped
-    blocks). All cursors are dropped — their ids answer [Cursor_expired],
-    as after a reboot — while the dedup window survives, because the
-    connection itself never went away. *)
+(** Swap in a server recovered after a crash restart of the one this
+    endpoint served. All cursors are dropped — their ids answer
+    [Cursor_expired], as after a reboot — while the dedup window survives,
+    because the connection itself never went away. *)
 
 val handle : t -> string -> string
 (** Total: malformed requests and failed operations come back as

@@ -256,17 +256,19 @@ let test_multi_level_boundary_emission_order () =
 
 (* -------------------------- server obs surface -------------------------- *)
 
-(* One name per fact: a registry counter must not repeat a key of another
-   section of the metrics document, bare ([hits]) or section-prefixed
-   ([cache_hits] against [cache.hits]). The breaker section is the one
-   exception still standing: its [breaker_*] registry counters predate the
-   section and are kept for the export's existing consumers. *)
+(* One name per fact: a registry counter or gauge must not repeat a key of
+   another section of the metrics document, bare ([hits]) or
+   section-prefixed ([cache_hits] against [cache.hits]); nor may it name a
+   breaker fact the [breaker] section states under another key
+   ([breaker_open] for [breaker.state], [breaker_device_errors] for
+   [breaker.total_errors]). *)
 let check_counters_unique ~fields ~counters =
   let repeats =
-    List.concat_map
+    List.filter (fun c -> List.mem c counters) [ "breaker_open"; "breaker_device_errors" ]
+    @ List.concat_map
       (fun (name, v) ->
         match v with
-        | Obs.Json.Obj kvs when name <> "counters" && name <> "breaker" ->
+        | Obs.Json.Obj kvs when name <> "counters" && name <> "gauges" ->
           List.concat_map
             (fun (k, _) -> List.filter (fun c -> List.mem c counters) [ k; name ^ "_" ^ k ])
             kvs
@@ -310,7 +312,8 @@ let test_server_metrics_surface () =
     (match List.assoc "hits" (section "cache") with
     | Obs.Json.Int hits -> Alcotest.(check bool) "cache section counts hits" true (hits > 0)
     | _ -> Alcotest.fail "cache.hits must be an int");
-    check_counters_unique ~fields ~counters:(List.map fst (section "counters"))
+    check_counters_unique ~fields
+      ~counters:(List.map fst (section "counters" @ section "gauges"))
   | _ -> Alcotest.fail "metrics_obj must be an object");
   let js = Clio.Server.metrics_json f.srv in
   Alcotest.(check bool) "json mentions p99" true (contains ~affix:{|"p99"|} js)

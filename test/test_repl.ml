@@ -12,11 +12,11 @@ let okc label = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" label (Clio.Errors.to_string e)
 
-let mk_replica f ~primary_hint =
+let mk_replica ?(capacity = 1024) f ~primary_hint =
   let block_size = f.config.Clio.Config.block_size in
   Repl.Replica.create ~config:f.config ~nvram:(Worm.Nvram.create ()) ~clock:f.clock
     ~alloc:(fun ~vol_index:_ ->
-      Ok (Worm.Mem_device.io (Worm.Mem_device.create ~block_size ~capacity:1024 ())))
+      Ok (Worm.Mem_device.io (Worm.Mem_device.create ~block_size ~capacity ())))
     ~primary_hint ()
 
 let io_image (io : Worm.Block_io.t) =
@@ -47,6 +47,26 @@ let drain sh srv =
     if Clio.Server.repl_lag_blocks srv > 0 && n < 50 then go (n + 1)
   in
   go 0
+
+(* Read a remote cursor up to the current end of its log. *)
+let drain_cursor c =
+  let rec go acc =
+    let entries, eof = okc "next chunk" (Uio.Client.next_chunk c) in
+    let acc = List.rev_append (List.map (fun e -> e.Uio.Message.payload) entries) acc in
+    if eof then List.rev acc else go acc
+  in
+  go []
+
+let replica_devices r =
+  List.init (Repl.Replica.nvols r) (fun i -> Option.get (Repl.Replica.device r i))
+
+let replica_reads r =
+  List.fold_left
+    (fun acc d -> acc + d.Worm.Block_io.stats.Worm.Dev_stats.reads)
+    0 (replica_devices r)
+
+let open_cursor client ~log =
+  okc "open cursor" (Uio.Client.open_cursor client ~log Uio.Message.From_start)
 
 (* --------------------------- basic shipping --------------------------- *)
 
@@ -188,10 +208,176 @@ let test_promote_and_fence () =
   | Error (Clio.Errors.Not_primary _) -> ()
   | _ -> Alcotest.fail "fenced primary must refuse writes")
 
-(* --------------------- catalog replay determinism ---------------------- *)
 
-(* Clone a device by replaying its readable blocks through ordinary appends
-   — the same verbatim-bytes path the shipper uses. *)
+(* ---------------------- one live server, caught up ---------------------- *)
+
+(* A client cursor opened on the replica before a shipment reads the
+   entries that shipment brought: the server it points into is caught up
+   in place, not replaced. *)
+let test_cursor_survives_shipment () =
+  let f = make_fixture () in
+  let a = create_log f "/a" in
+  for i = 0 to 29 do
+    ignore (append f ~log:a (Printf.sprintf "before %d" i))
+  done;
+  ignore (ok (Clio.Server.force f.srv));
+  let r = mk_replica f ~primary_hint:"primary-1" in
+  let tr = Uio.Transport.local ~latency_us:1000L ~clock:f.clock (Repl.Replica.handler r) in
+  let sh = Repl.Shipper.create f.srv [ ("replica-1", tr) ] in
+  Repl.Shipper.sync sh;
+  let client = Uio.Client.connect tr in
+  let c = open_cursor client ~log:a in
+  let seen = drain_cursor c in
+  check_payloads "before the shipment" (all_payloads f.srv ~log:a) seen;
+  (* One settled shipment, then one that only restages the tail. *)
+  for i = 0 to 29 do
+    ignore (append f ~log:a (Printf.sprintf "after %d" i))
+  done;
+  ignore (ok (Clio.Server.force f.srv));
+  Repl.Shipper.sync sh;
+  let seen = seen @ drain_cursor c in
+  ignore (append f ~log:a "tail only");
+  ignore (ok (Clio.Server.force f.srv));
+  Repl.Shipper.sync sh;
+  let seen = seen @ drain_cursor c in
+  check_payloads "one cursor reads across shipments" (all_payloads f.srv ~log:a) seen
+
+(* [Replica.server] is the same physical server before and after settled
+   shipments and a tail shipment; its replication counters are the
+   replica's. *)
+let test_one_server () =
+  let f = make_fixture () in
+  let a = create_log f "/a" in
+  ignore (append f ~log:a "first");
+  ignore (ok (Clio.Server.force f.srv));
+  let r = mk_replica f ~primary_hint:"primary-1" in
+  let tr = Uio.Transport.local ~latency_us:1000L ~clock:f.clock (Repl.Replica.handler r) in
+  let sh = Repl.Shipper.create f.srv [ ("replica-1", tr) ] in
+  Repl.Shipper.sync sh;
+  let s0 = okc "server" (Repl.Replica.server r) in
+  for round = 1 to 4 do
+    for i = 0 to 19 do
+      ignore (append f ~log:a (Printf.sprintf "round %d entry %d" round i))
+    done;
+    ignore (ok (Clio.Server.force f.srv));
+    Repl.Shipper.sync sh;
+    Alcotest.(check bool) (Printf.sprintf "same server after sync %d" round) true
+      (okc "server" (Repl.Replica.server r) == s0)
+  done;
+  ignore (append f ~log:a "staged tail");
+  Repl.Shipper.sync sh;
+  Alcotest.(check bool) "tail shipped" true (Repl.Replica.tail_applies r >= 1);
+  let s1 = okc "server" (Repl.Replica.server r) in
+  Alcotest.(check bool) "same server after a tail shipment" true (s1 == s0);
+  check_payloads "caught-up server serves everything" (all_payloads f.srv ~log:a)
+    (all_payloads s1 ~log:a);
+  Alcotest.(check int) "blocks applied counted in the server's stats"
+    (Repl.Replica.blocks_applied r)
+    (Clio.Server.stats s1).Clio.Stats.repl_blocks_applied;
+  Alcotest.(check bool) "promotion keeps the server" true
+    (okc "promote" (Repl.Replica.promote r) == s0)
+
+(* A volume of [blocks] settled blocks: a bulk log fills one block per
+   entry and a sparse log gets an entry every 50 blocks. Returns the
+   primary fixture, both logs, a converged replica and its shipper. *)
+let sparse_replica ~blocks =
+  let f = make_fixture ~capacity:4096 () in
+  let bulk = create_log f "/bulk" in
+  let sparse = create_log f "/sparse" in
+  let r = mk_replica ~capacity:4096 f ~primary_hint:"primary-1" in
+  let tr = Uio.Transport.local ~latency_us:1000L ~clock:f.clock (Repl.Replica.handler r) in
+  let sh = Repl.Shipper.create f.srv [ ("replica-1", tr) ] in
+  let n = ref 0 in
+  while Clio.Server.volume_blocks_used f.srv < blocks do
+    incr n;
+    if !n mod 50 = 0 then ignore (append f ~log:sparse (Printf.sprintf "sparse %d" !n));
+    ignore (append f ~log:bulk (String.make 200 'b'))
+  done;
+  ignore (ok (Clio.Server.force f.srv));
+  drain sh f.srv;
+  (f, bulk, sparse, r, sh)
+
+(* Append bulk entries until exactly one more block settles. *)
+let settle_one_block f ~bulk =
+  let used = Clio.Server.volume_blocks_used f.srv in
+  while Clio.Server.volume_blocks_used f.srv = used do
+    ignore (append f ~log:bulk (String.make 200 'c'))
+  done;
+  Alcotest.(check int) "one block settled" (used + 1) (Clio.Server.volume_blocks_used f.srv)
+
+(* One replica fold of the sparse log after a 1-block shipment reads at
+   most the shipped block plus one entrymap descent, whatever the volume
+   size: the server's cache and memo stay warm across the shipment. *)
+let test_read_cost_after_shipment () =
+  List.iter
+    (fun blocks ->
+      let f, bulk, sparse, r, sh = sparse_replica ~blocks in
+      let fold () =
+        let before = replica_reads r in
+        let srv = okc "server" (Repl.Replica.server r) in
+        let got = all_payloads srv ~log:sparse in
+        check_payloads "sparse log via replica" (all_payloads f.srv ~log:sparse) got;
+        replica_reads r - before
+      in
+      ignore (fold ());
+      Alcotest.(check int) (Printf.sprintf "%d blocks: warm fold reads nothing" blocks) 0 (fold ());
+      let applied = Repl.Replica.blocks_applied r in
+      settle_one_block f ~bulk;
+      Repl.Shipper.sync sh;
+      let shipped = Repl.Replica.blocks_applied r - applied in
+      Alcotest.(check int) "one block shipped" 1 shipped;
+      let v = ok (Clio.State.active (Clio.Server.state f.srv)) in
+      let bound = (Clio.Vol.fanout v * Clio.Vol.levels v) + shipped in
+      let reads = fold () in
+      if reads > bound then
+        Alcotest.failf "%d blocks: fold after a 1-block shipment read %d blocks (bound %d)"
+          blocks reads bound)
+    [ 200; 3000 ]
+
+(* A pass that cannot bring a volume up to its settled frontier must not
+   ship the volume's successor: a reader crossing the boundary on the
+   replica would pass the blocks still in flight and never see their
+   entries. One Repl_blocks of volume 0 is refused here, right after the
+   primary rolled over. *)
+let test_volumes_ship_in_order () =
+  let f = make_fixture ~config:{ Clio.Config.default with repl_batch_blocks = 4 } ~capacity:24 () in
+  let a = create_log f "/a" in
+  let r = mk_replica ~capacity:24 f ~primary_hint:"primary-1" in
+  let refuse = ref false in
+  let handler raw =
+    match Uio.Message.decode_request raw with
+    | Ok (Uio.Message.Repl_blocks { vol_index = 0; _ }) when !refuse ->
+      refuse := false;
+      Uio.Message.encode_response (Uio.Message.R_error Clio.Errors.Timeout)
+    | _ -> Repl.Replica.handler r raw
+  in
+  let tr = Uio.Transport.local ~latency_us:1000L ~clock:f.clock handler in
+  let sh = Repl.Shipper.create f.srv [ ("replica-1", tr) ] in
+  let n = ref 0 in
+  let write k =
+    for _ = 1 to k do
+      incr n;
+      ignore (append f ~log:a (Printf.sprintf "entry %03d %s" !n (String.make 60 'z')))
+    done;
+    ignore (ok (Clio.Server.force f.srv))
+  in
+  write 40;
+  Repl.Shipper.sync sh;
+  let client = Uio.Client.connect tr in
+  let c = open_cursor client ~log:a in
+  let seen = ref (drain_cursor c) in
+  write 40;
+  Alcotest.(check bool) "primary rolled over" true (Clio.Server.nvols f.srv > 1);
+  refuse := true;
+  Repl.Shipper.sync sh;
+  Alcotest.(check int) "successor held back" 1 (Repl.Replica.nvols r);
+  seen := !seen @ drain_cursor c;
+  drain sh f.srv;
+  seen := !seen @ drain_cursor c;
+  assert_identical "converged" f r;
+  check_payloads "cursor read every entry once" (all_payloads f.srv ~log:a) !seen
+
+(* Copy a device's written blocks onto a fresh in-memory device. *)
 let clone_io (io : Worm.Block_io.t) =
   let d =
     Worm.Mem_device.create ~block_size:io.Worm.Block_io.block_size
@@ -205,6 +391,91 @@ let clone_io (io : Worm.Block_io.t) =
     | Error _ -> Alcotest.failf "clone: unreadable block %d" i
   done;
   cio
+
+let clone_nvram nv =
+  let c = Worm.Nvram.create () in
+  Option.iter (fun (block, image) -> Worm.Nvram.store c ~block image) (Worm.Nvram.load nv);
+  c
+
+(* A replica caught up shipment by shipment, with reads in between, and
+   then promoted must hold the state recovery builds from the same bytes:
+   the same appends on both produce byte-identical devices. The entry
+   counts vary where the staged tail lands relative to the entrymap
+   boundaries; the small capacity makes the primary roll volumes, which the
+   replica attaches as they arrive while a client cursor reads across
+   them, and then makes the promoted replica roll over on its own. *)
+let test_promotion_equals_recovery () =
+  List.iter
+    (fun (per_round, capacity, post) ->
+      let name = Printf.sprintf "%d per round, capacity %d" per_round capacity in
+      let f = make_fixture ~capacity () in
+      let a = create_log f "/a" in
+      let b = create_log f "/a/b" in
+      let r = mk_replica ~capacity f ~primary_hint:"primary-1" in
+      let tr = Uio.Transport.local ~latency_us:1000L ~clock:f.clock (Repl.Replica.handler r) in
+      let sh = Repl.Shipper.create f.srv [ ("replica-1", tr) ] in
+      let client = Uio.Client.connect tr in
+      let cursor = ref None and seen = ref [] in
+      let n = ref 0 in
+      for round = 0 to 5 do
+        for _ = 1 to per_round do
+          incr n;
+          let log = if !n mod 3 = 0 then b else a in
+          ignore (append f ~log (Printf.sprintf "entry %04d %s" !n (String.make (!n mod 40) 'x')))
+        done;
+        if round mod 2 = 0 then ignore (ok (Clio.Server.force f.srv));
+        Repl.Shipper.sync sh;
+        if !cursor = None then cursor := Some (open_cursor client ~log:a);
+        Option.iter (fun c -> seen := !seen @ drain_cursor c) !cursor
+      done;
+      check_payloads (name ^ ": cursor read /a across shipments") (all_payloads f.srv ~log:a) !seen;
+      Alcotest.(check int) (name ^ ": replica volumes") (Clio.Server.nvols f.srv)
+        (Repl.Replica.nvols r);
+      Alcotest.(check bool) (name ^ ": rolled over") (capacity < 1024) (Repl.Replica.nvols r > 1);
+      let rdevs = replica_devices r in
+      let rsrv = okc "server" (Repl.Replica.server r) in
+      let nvram = clone_nvram (Option.get (Clio.Server.state rsrv).Clio.State.nvram) in
+      let copies = List.map clone_io rdevs in
+      let p = okc "promote" (Repl.Replica.promote r) in
+      let qnew = ref [] in
+      let qalloc ~vol_index:_ =
+        let d = Worm.Mem_device.io (Worm.Mem_device.create ~block_size:256 ~capacity ()) in
+        qnew := !qnew @ [ d ];
+        Ok d
+      in
+      let q =
+        ok
+          (Clio.Server.recover ~config:f.config
+             ~clock:(Sim.Clock.simulated ~start:(Sim.Clock.peek f.clock) ())
+             ~nvram ~alloc_volume:qalloc ~devices:copies ())
+      in
+      let c = ok (Clio.Server.create_log q "/c") in
+      Alcotest.(check int) (name ^ ": same new log id") c
+        (okc "create on promoted" (Clio.Server.create_log p "/c"));
+      for i = 1 to post do
+        let log = match i mod 3 with 0 -> a | 1 -> b | _ -> c in
+        let payload = Printf.sprintf "post %d" i in
+        ignore (okc "append promoted" (Clio.Server.append p ~log payload));
+        ignore (ok (Clio.Server.append q ~log payload))
+      done;
+      ignore (okc "force promoted" (Clio.Server.force p));
+      ignore (ok (Clio.Server.force q));
+      Alcotest.(check bool) (name ^ ": promoted replica rolled over") (capacity < 1024)
+        (Repl.Replica.nvols r > List.length rdevs);
+      let pdevs = replica_devices r in
+      let qdevs = copies @ !qnew in
+      Alcotest.(check int) (name ^ ": volumes after appends") (List.length qdevs)
+        (List.length pdevs);
+      List.iteri
+        (fun i (pio, qio) ->
+          let pf, pbytes = io_image pio in
+          let qf, qbytes = io_image qio in
+          Alcotest.(check int) (Printf.sprintf "%s: vol %d frontier" name i) qf pf;
+          Alcotest.(check (list string)) (Printf.sprintf "%s: vol %d bytes" name i) qbytes pbytes)
+        (List.combine pdevs qdevs))
+    [ (3, 1024, 9); (7, 1024, 21); (13, 1024, 39); (16, 1024, 48); (29, 1024, 87); (29, 24, 400) ]
+
+(* --------------------- catalog replay determinism ---------------------- *)
 
 let test_replay_determinism () =
   let f = make_fixture () in
@@ -268,6 +539,16 @@ let run_soak seed =
   let r1, t1 = mk_peer 1L in
   let r2, t2 = mk_peer 2L in
   let sh = Repl.Shipper.create f.srv [ ("r1", t1); ("r2", t2) ] in
+  (* One client cursor on r1, opened once r1 holds a volume and read up to
+     the end of /a after every sync pass: it must never expire and must
+     see every entry exactly once, in order. *)
+  let reader = Uio.Client.connect (Uio.Transport.local ~clock:f.clock (Repl.Replica.handler r1)) in
+  let cursor = ref None and seen = ref [] in
+  let read_on () =
+    if !cursor = None && Repl.Replica.nvols r1 > 0 then
+      cursor := Some (open_cursor reader ~log:a);
+    Option.iter (fun c -> seen := !seen @ drain_cursor c) !cursor
+  in
   let rng = Sim.Rng.create seed in
   let n = ref 0 in
   for _round = 0 to 5 do
@@ -278,15 +559,18 @@ let run_soak seed =
       ignore (append f ~log (Printf.sprintf "entry %04d" !n))
     done;
     if Sim.Rng.int rng 2 = 0 then ignore (ok (Clio.Server.force f.srv));
-    Repl.Shipper.sync sh
+    Repl.Shipper.sync sh;
+    read_on ()
   done;
   drain sh f.srv;
+  read_on ();
   Alcotest.(check int) "converged (no lag)" 0 (Clio.Server.repl_lag_blocks f.srv);
   Alcotest.(check int) "exactly-once: nothing reshipped" 0 (Repl.Shipper.reshipped sh);
   assert_identical "replica 1" f r1;
   assert_identical "replica 2" f r2;
   let pa = all_payloads f.srv ~log:a in
   let pb = all_payloads f.srv ~log:b in
+  check_payloads "r1 cursor read every acked /a entry once" pa !seen;
   List.iter
     (fun (name, r) ->
       let rsrv = okc (name ^ " server") (Repl.Replica.server r) in
@@ -307,6 +591,8 @@ let run_soak seed =
   | _ -> Alcotest.fail "fenced primary must refuse writes");
   ignore (okc "write on new primary" (Clio.Server.append psrv ~log:a "post failover"));
   ignore (okc "force on new primary" (Clio.Server.force psrv));
+  read_on ();
+  check_payloads "r1 cursor survives promotion" (all_payloads psrv ~log:a) !seen;
   let sh2 = Repl.Shipper.create psrv [ ("r2", t2) ] in
   drain sh2 psrv;
   Alcotest.(check int) "new primary converged r2" 0 (Clio.Server.repl_lag_blocks psrv);
@@ -318,6 +604,7 @@ let run_soak seed =
 
 let test_chaos_soak () = List.iter run_soak soak_seeds
 
+
 let () =
   run "repl"
     [
@@ -327,9 +614,17 @@ let () =
           Alcotest.test_case "volatile tail" `Quick test_tail_shipping;
           Alcotest.test_case "catch-up" `Quick test_catchup_after_disconnect;
         ] );
+      ( "live server",
+        [
+          Alcotest.test_case "cursor survives shipment" `Quick test_cursor_survives_shipment;
+          Alcotest.test_case "one server across shipments" `Quick test_one_server;
+          Alcotest.test_case "read cost after shipment" `Quick test_read_cost_after_shipment;
+          Alcotest.test_case "volumes ship in order" `Quick test_volumes_ship_in_order;
+        ] );
       ( "failover",
         [
           Alcotest.test_case "promote and fence" `Quick test_promote_and_fence;
+          Alcotest.test_case "promotion equals recovery" `Quick test_promotion_equals_recovery;
         ] );
       ( "determinism",
         [
